@@ -13,7 +13,7 @@ from . import noise as noise_mod
 from . import plotting
 from . import task as task_mod
 from . import world as world_mod
-from .robots import get_robot
+from .robots import ROBOTS, get_robot
 
 
 def _load_grid(path):
@@ -113,16 +113,15 @@ def build_parser():
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--ratio-min", type=float, default=episodes_mod.DEFAULT_RATIO_MIN)
-    g.add_argument("--robot", default="spot", choices=["a1", "aliengo", "spot"])
+    g.add_argument("--robot", default="spot", choices=sorted(ROBOTS))
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_gen_episodes)
 
     r = sub.add_parser("run", help="evaluate an agent over a dataset")
     r.add_argument("--map", required=True)
     r.add_argument("--dataset", required=True)
-    r.add_argument("--robot", default="spot", choices=["a1", "aliengo", "spot"])
-    r.add_argument("--backend", default="kinematic",
-                   choices=["kinematic", "dynlite-a", "dynlite-b"])
+    r.add_argument("--robot", default="spot", choices=sorted(ROBOTS))
+    r.add_argument("--backend", default="kinematic", choices=harness_mod.BACKENDS)
     r.add_argument("--noise", default="none")
     r.add_argument("--agent", default="oracle", choices=["oracle", "random"])
     r.add_argument("--seeds", default="0,1,2")
@@ -138,9 +137,8 @@ def build_parser():
 
     b = sub.add_parser("bench", help="steps-per-second throughput benchmark")
     b.add_argument("--map", required=True)
-    b.add_argument("--backend", default="all",
-                   choices=["all", "kinematic", "dynlite-a", "dynlite-b"])
-    b.add_argument("--robot", default="spot", choices=["a1", "aliengo", "spot"])
+    b.add_argument("--backend", default="all", choices=("all",) + harness_mod.BACKENDS)
+    b.add_argument("--robot", default="spot", choices=sorted(ROBOTS))
     b.add_argument("--steps", type=int, default=2000)
     b.set_defaults(func=cmd_bench)
 

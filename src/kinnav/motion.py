@@ -3,6 +3,8 @@
 import math
 from dataclasses import dataclass
 
+from .world import CERT_EPS
+
 
 class InvalidCommandError(ValueError):
     """Command contains NaN components."""
@@ -88,6 +90,13 @@ class DynamicLiteConfig:
     `substeps` physics substeps. On contact the position update either slides
     along the free axis-aligned component or holds. A fall fires when the
     prevented penetration in one substep exceeds fall_penetration.
+
+    Every substep starts from a free pose and clearance is 1-Lipschitz, so the
+    penetration of a substep is at most its displacement. A fall therefore
+    needs a speed above fall_penetration * substeps / dt: 12 m/s at the
+    defaults and dt = 1 s, far beyond every robot's limits, so profiles A and B
+    cannot fall at 240 substeps. Only coarse substepping (substeps=1 in the
+    tests) reaches the fall path.
     """
 
     tau: float
@@ -115,21 +124,33 @@ def dynamic_lite_step(grid, pose, actual_vel, cmd, config, spec, dt=1.0):
 
     Returns (new pose, new actual velocity, events); events is a list of
     ('contact', substep) and ('fall', substep) tuples. A fall ends the step.
+
+    Collision answers equal checker.blocked() at every tested point, but most
+    come from two certified discs (see _CollisionChecker): points within
+    sqrt(f2) of (fx, fy) are free, points within sqrt(b2) of (bx, by) blocked.
+    A query runs only when a point falls outside both.
     """
     checker = grid.collision_checker(spec.footprint_radius)
-    if checker.blocked(pose.x, pose.y):
+    certify = checker.certify
+    x, y, th = pose.x, pose.y, pose.theta
+    hit, f2 = certify(x, y)
+    if hit:
         raise InconsistentStateError(f"pose {pose} starts in collision")
+    fx, fy = x, y
+    bx = by = b2 = 0.0
     delta = dt / config.substeps
     # gain capped at 1: for delta >= tau the lag collapses to exact tracking
     # (an uncapped explicit update would be unstable for delta > 2*tau)
     alpha = min(delta / config.tau, 1.0)
     slide = config.slide_on_contact
-    x, y, th = pose.x, pose.y, pose.theta
+    fall_pen = config.fall_penetration
+    # a substep starts free, so its penetration is at most its displacement:
+    # a fall needs a displacement above this
+    gate = fall_pen - CERT_EPS
     vx, vy, w = actual_vel.vx, actual_vel.vy, actual_vel.w
     cvx, cvy, cw = cmd.vx, cmd.vy, cmd.w
     cos, sin = math.cos, math.sin
     events = []
-    blocked = checker.blocked
     for k in range(config.substeps):
         vx += alpha * (cvx - vx)
         vy += alpha * (cvy - vy)
@@ -138,15 +159,45 @@ def dynamic_lite_step(grid, pose, actual_vel, cmd, config, spec, dt=1.0):
         s = sin(th)
         nx = x + (vx * c - vy * s) * delta
         ny = y + (vx * s + vy * c) * delta
-        if blocked(nx, ny):
+        ex = nx - fx
+        ey = ny - fy
+        if ex * ex + ey * ey < f2:
+            hit = False
+        else:
+            ex = nx - bx
+            ey = ny - by
+            if ex * ex + ey * ey < b2:
+                hit = True
+            else:
+                hit, reach2 = certify(nx, ny)
+                if hit:
+                    bx, by, b2 = nx, ny, reach2
+                else:
+                    fx, fy, f2 = nx, ny, reach2
+        if hit:
             events.append(("contact", k))
+            deep = math.hypot(nx - x, ny - y) > gate
             if slide:
-                if not blocked(nx, y):
-                    x = nx
-                elif not blocked(x, ny):
-                    y = ny
-            pen = checker.penetration(nx, ny)
-            if pen > config.fall_penetration:
+                for px, py in ((nx, y), (x, ny)):
+                    ex = px - fx
+                    ey = py - fy
+                    if ex * ex + ey * ey < f2:
+                        hit = False
+                    else:
+                        ex = px - bx
+                        ey = py - by
+                        if ex * ex + ey * ey < b2:
+                            hit = True
+                        else:
+                            hit, reach2 = certify(px, py)
+                            if hit:
+                                bx, by, b2 = px, py, reach2
+                            else:
+                                fx, fy, f2 = px, py, reach2
+                    if not hit:
+                        x, y = px, py
+                        break
+            if deep and checker.penetration(nx, ny) > fall_pen:
                 events.append(("fall", k))
                 th += w * delta
                 break

@@ -226,8 +226,9 @@ class NavEnv:
                     self.grid, self.pose, self.actual_vel, applied,
                     self.dyn_config, self.spec, dt=self.dt)
                 applied = self.actual_vel
-                blocked = any(e[0] == "contact" for e in events)
-                fell = any(e[0] == "fall" for e in events)
+                # every event list opens with a contact, and a fall ends it
+                blocked = bool(events)
+                fell = blocked and events[-1][0] == "fall"
 
         step_dist = math.hypot(new_pose.x - self.pose.x, new_pose.y - self.pose.y)
         self.pose = new_pose

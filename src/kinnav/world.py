@@ -9,6 +9,9 @@ from scipy.spatial import cKDTree
 
 SQRT2 = math.sqrt(2.0)
 
+# margin of the collision certificates, see _CollisionChecker
+CERT_EPS = 1e-9
+
 
 class MapError(ValueError):
     """Malformed map document."""
@@ -181,42 +184,80 @@ class OccupancyGrid:
 
 
 class _CollisionChecker:
-    """Fast footprint-disc vs occupied-cell overlap tests for one robot radius.
+    """Footprint-disc vs occupied-cell tests for one robot radius.
 
-    Precomputes, for every cell, the occupied rectangles a disc centered inside
-    that cell could touch; most cells end up with an empty list.
+    Each occupied cell is one rectangle, a tuple of Python floats
+    (x0, y0, x1, y1) shared by every cell list that holds it. For every cell
+    the checker lists the rectangles a disc centered anywhere in that cell
+    could touch, nearest first; most lists are empty. blocked() reads only the
+    list of the query point's cell. nearest() reads a second, wider list per
+    cell, built on first use, that holds every rectangle within radius + cap
+    of any point of the cell.
+
+    certify() gives blocked()'s answer together with a disc around the query
+    point on which blocked() gives that same answer. The clearance c(p), the
+    distance from p to the nearest occupied boundary, is 1-Lipschitz, and
+    blocked(p) holds exactly when c(p) < radius, up to rounding. With
+    d = nearest(p):
+
+    - if d >= radius + CERT_EPS, every point closer to p than
+      min(d, radius + cap) - radius - CERT_EPS is free;
+    - if d <= radius - CERT_EPS, every point closer to p than
+      radius - d - CERT_EPS is blocked;
+    - otherwise the disc is empty and the answer is blocked()'s own.
+
+    CERT_EPS = 1e-9 m is orders of magnitude above the rounding error of the
+    distance arithmetic (about 1e-16 relative, under 1e-12 m on maps up to
+    kilometres across). A caller that answers a point strictly inside a
+    certified disc without a query therefore gets exactly the answer
+    blocked() would have given.
     """
 
     def __init__(self, grid, radius):
         self.grid = grid
         self.radius = radius
+        self.cap = 0.5 * grid.cell_size
         self._r2 = radius * radius
         cs = grid.cell_size
-        h, w = grid.height, grid.width
         x0, y0, x1, y1 = grid.extent
+        self._extent = (x0, y0, x1, y1)
         self._gx0, self._gy0 = x0, y0
         self._bx0, self._by0 = x0 + radius, y0 + radius
         self._bx1, self._by1 = x1 - radius, y1 - radius
         self._cs = cs
-        self._w = w
-        self._h = h
-        self._cands = [()] * (h * w)
-        if grid._tree is not None:
-            ox, oy = grid.origin
-            xs = ox + (np.arange(w) + 0.5) * cs
-            ys = oy + (np.arange(h) + 0.5) * cs
-            gx, gy = np.meshgrid(xs, ys)
-            pts = np.column_stack([gx.ravel(), gy.ravel()])
-            reach = radius + SQRT2 * cs  # disc anywhere in cell vs any point of rect
-            lists = grid._tree.query_ball_point(pts, reach)
-            for k, idxs in enumerate(lists):
-                if idxs:
-                    rects = [(grid._occ_x0[i], grid._occ_y0[i],
-                              grid._occ_x0[i] + cs, grid._occ_y0[i] + cs) for i in idxs]
-                    cx, cy = pts[k]
-                    rects.sort(key=lambda r: (max(r[0] - cx, cx - r[2], 0.0) ** 2
-                                              + max(r[1] - cy, cy - r[3], 0.0) ** 2))
-                    self._cands[k] = tuple(rects)
+        self._w = grid.width
+        self._h = grid.height
+        self._rects = list(zip(grid._occ_x0.tolist(), grid._occ_y0.tolist(),
+                               (grid._occ_x0 + cs).tolist(), (grid._occ_y0 + cs).tolist()))
+        self._far = None
+        self._exact_to = radius + self.cap
+        self._free_from = radius + CERT_EPS
+        self._blocked_to = radius - CERT_EPS
+        # reach: a disc anywhere in the cell vs any point of the rect
+        self._cands = self._cell_lists(radius + SQRT2 * cs, nearest_first=True)
+
+    def _cell_lists(self, reach, nearest_first=False):
+        """Per cell, the rects whose center lies within reach of the cell center."""
+        grid = self.grid
+        out = [()] * (self._w * self._h)
+        if grid._tree is None:
+            return out
+        cs = self._cs
+        ox, oy = grid.origin
+        xs = ox + (np.arange(self._w) + 0.5) * cs
+        ys = oy + (np.arange(self._h) + 0.5) * cs
+        gx, gy = np.meshgrid(xs, ys)
+        pts = np.column_stack([gx.ravel(), gy.ravel()])
+        rects = self._rects
+        for k, idxs in enumerate(grid._tree.query_ball_point(pts, reach)):
+            if idxs:
+                cell = [rects[i] for i in idxs]
+                if nearest_first:
+                    cx, cy = pts[k].tolist()
+                    cell.sort(key=lambda r: (max(r[0] - cx, cx - r[2], 0.0) ** 2
+                                             + max(r[1] - cy, cy - r[3], 0.0) ** 2))
+                out[k] = tuple(cell)
+        return out
 
     def blocked(self, x, y):
         """True when a disc of the checker's radius at (x, y) overlaps occupied space."""
@@ -237,26 +278,59 @@ class _CollisionChecker:
                 return True
         return False
 
-    def penetration(self, x, y):
-        """How far a disc at (x, y) digs into occupied space (0 when free).
+    def nearest(self, x, y):
+        """Distance from (x, y) to the nearest occupied boundary, grid edge included.
 
-        Any rect within the footprint radius of a point is in that point's
-        cell candidate list, so no global search is needed.
+        Equal to grid.clearance(x, y) wherever that is at most radius + cap, and
+        at least radius + cap elsewhere. Zero outside the grid.
         """
-        grid = self.grid
-        if not grid.in_bounds(x, y):
-            return self.radius
-        x0, y0, x1, y1 = grid.extent
-        nearest = min(x - x0, x1 - x, y - y0, y1 - y)
-        ix = min(int((x - x0) / grid.cell_size), grid.width - 1)
-        iy = min(int((y - y0) / grid.cell_size), grid.height - 1)
-        for rx0, ry0, rx1, ry1 in self._cands[iy * grid.width + ix]:
+        x0, y0, x1, y1 = self._extent
+        best = x - x0
+        d = x1 - x
+        if d < best:
+            best = d
+        d = y - y0
+        if d < best:
+            best = d
+        d = y1 - y
+        if d < best:
+            best = d
+        if not best > 0.0:
+            return 0.0
+        far = self._far
+        if far is None:
+            # rects within radius + cap of a point, via their centers, from anywhere in the cell
+            far = self._far = self._cell_lists(self.radius + self.cap + SQRT2 * self._cs)
+        ix = int((x - x0) / self._cs)
+        iy = int((y - y0) / self._cs)
+        if ix >= self._w:
+            ix = self._w - 1
+        if iy >= self._h:
+            iy = self._h - 1
+        for rx0, ry0, rx1, ry1 in far[iy * self._w + ix]:
             dx = rx0 - x if x < rx0 else (x - rx1 if x > rx1 else 0.0)
             dy = ry0 - y if y < ry0 else (y - ry1 if y > ry1 else 0.0)
             d = math.hypot(dx, dy)
-            if d < nearest:
-                nearest = d
-        return max(self.radius - nearest, 0.0)
+            if d < best:
+                best = d
+        return best
+
+    def penetration(self, x, y):
+        """How far a disc at (x, y) digs into occupied space (0 when free)."""
+        return max(self.radius - self.nearest(x, y), 0.0)
+
+    def certify(self, x, y):
+        """(blocked(x, y), r2): blocked() gives the same answer within sqrt(r2) of (x, y)."""
+        d = self.nearest(x, y)
+        if d >= self._free_from:
+            if d > self._exact_to:
+                d = self._exact_to
+            reach = d - self._free_from
+            return False, reach * reach
+        if d <= self._blocked_to:
+            reach = self._blocked_to - d
+            return True, reach * reach
+        return self.blocked(x, y), 0.0
 
 
 # -- map document I/O -----------------------------------------------------
@@ -325,13 +399,12 @@ class DistanceField:
     sqrt(2)*cell_size. Unreachable and inflated cells hold +inf.
     """
 
-    def __init__(self, grid, goal, robot_radius, values, passable):
+    def __init__(self, grid, goal, robot_radius, values):
         self.grid = grid
         self.goal = (float(goal[0]), float(goal[1]))
         self.robot_radius = float(robot_radius)
         values.setflags(write=False)
         self.values = values
-        self.passable = passable
         self.goal_cell = grid.world_to_cell(*self.goal)
         self._finite_tree = None
         self._finite_cells = None
@@ -427,7 +500,7 @@ def distance_field(grid, goal, robot_radius):
     graph = grid._neighbor_graph(robot_radius)
     dist = csgraph.dijkstra(graph, directed=False, indices=iy * grid.width + ix)
     values = dist.reshape(grid.height, grid.width)
-    return DistanceField(grid, goal, robot_radius, values, passable)
+    return DistanceField(grid, goal, robot_radius, values)
 
 
 # -- ray casting ----------------------------------------------------------

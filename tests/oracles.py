@@ -1,11 +1,15 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here is deliberately slow and written with plain scalar loops so
-that it shares no code path with the package under test.
+that it shares no code path with the package under test. The one exception is
+dynlite_reference_step, which runs on the package's exact collision tests and
+checks how the package avoids calling them.
 """
 
 import heapq
 import math
+
+from kinnav.motion import InconsistentStateError, Pose, VelocityCommand, wrap_angle
 
 SQRT2 = math.sqrt(2.0)
 
@@ -95,3 +99,48 @@ def dynlite_scalar_oracle(x0, v0, cmd, tau, substeps, dt=1.0):
         v += alpha * (cmd - v)
         x += v * delta
     return x, v
+
+
+def dynlite_reference_step(grid, pose, actual_vel, cmd, config, spec, dt=1.0):
+    """The dynamic-lite control step with an exact collision test on every substep.
+
+    The substep loop of the original implementation, kept verbatim: it calls
+    only checker.blocked and checker.penetration, so certified shortcuts in
+    the package can be checked against it for exact equality.
+    """
+    checker = grid.collision_checker(spec.footprint_radius)
+    if checker.blocked(pose.x, pose.y):
+        raise InconsistentStateError(f"pose {pose} starts in collision")
+    delta = dt / config.substeps
+    alpha = min(delta / config.tau, 1.0)
+    slide = config.slide_on_contact
+    x, y, th = pose.x, pose.y, pose.theta
+    vx, vy, w = actual_vel.vx, actual_vel.vy, actual_vel.w
+    cvx, cvy, cw = cmd.vx, cmd.vy, cmd.w
+    cos, sin = math.cos, math.sin
+    events = []
+    blocked = checker.blocked
+    for k in range(config.substeps):
+        vx += alpha * (cvx - vx)
+        vy += alpha * (cvy - vy)
+        w += alpha * (cw - w)
+        c = cos(th)
+        s = sin(th)
+        nx = x + (vx * c - vy * s) * delta
+        ny = y + (vx * s + vy * c) * delta
+        if blocked(nx, ny):
+            events.append(("contact", k))
+            if slide:
+                if not blocked(nx, y):
+                    x = nx
+                elif not blocked(x, ny):
+                    y = ny
+            pen = checker.penetration(nx, ny)
+            if pen > config.fall_penetration:
+                events.append(("fall", k))
+                th += w * delta
+                break
+        else:
+            x, y = nx, ny
+        th += w * delta
+    return Pose(x, y, wrap_angle(th)), VelocityCommand(vx, vy, w), events

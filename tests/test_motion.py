@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,10 +8,11 @@ from kinnav.motion import (PROFILES, DynamicLiteConfig, InconsistentStateError,
                            InvalidCommandError, Pose, VelocityCommand,
                            clamp_command, dynamic_lite_step, kinematic_step,
                            wrap_angle)
-from kinnav.robots import SPOT
-from kinnav.world import OccupancyGrid, load_world
+from kinnav.maps import random_maze
+from kinnav.robots import A1, SPOT
+from kinnav.world import CERT_EPS, OccupancyGrid, load_world
 
-from oracles import dynlite_scalar_oracle
+from oracles import dynlite_reference_step, dynlite_scalar_oracle
 
 
 def open_grid(n=60, cs=1.0):
@@ -244,3 +246,115 @@ def test_dynlite_never_ends_in_collision():
         assert -math.pi < pose.theta <= math.pi
         if any(e[0] == "fall" for e in events):
             break
+
+
+# -- certified collision queries vs the exact-per-substep reference ---------
+
+
+def hugging_pose(checker, grid, rng):
+    """A free pose a few ulps short of the blocked region, heading into it.
+
+    Bisects blocked() along a random ray from a random free point; in a closed
+    world every ray ends blocked, at an obstacle or at the grid edge.
+    """
+    x0, y0, x1, y1 = grid.extent
+    while True:
+        px, py = rng.uniform((x0, y0), (x1, y1)).tolist()
+        if not checker.blocked(px, py):
+            break
+    th = rng.uniform(-math.pi, math.pi)
+    ux, uy = math.cos(th), math.sin(th)
+    lo, hi = 0.0, grid.cell_size
+    while not checker.blocked(px + hi * ux, py + hi * uy):
+        lo, hi = hi, hi + grid.cell_size
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if checker.blocked(px + mid * ux, py + mid * uy):
+            hi = mid
+        else:
+            lo = mid
+    return Pose(px + lo * ux, py + lo * uy, th)
+
+
+def random_free_pose(checker, grid, rng):
+    x0, y0, x1, y1 = grid.extent
+    while True:
+        px, py = rng.uniform((x0, y0), (x1, y1)).tolist()
+        if not checker.blocked(px, py):
+            return Pose(px, py, rng.uniform(-math.pi, math.pi))
+
+
+@pytest.fixture(scope="module")
+def dynlite_runs():
+    """(grid, spec, cfg, start pose, velocity, cmd, new result, reference result) per step.
+
+    Random mazes, random obstacle fields and an empty grid with an offset
+    origin (only the closed-world edge to hit); Spot and A1; both profiles at
+    1, 7 and 240 substeps. Starts are random free poses and poses hugging a
+    wall or the edge; each runs a short chain of random commands, some with a
+    fast initial velocity so that coarse substeps dig in deep enough to fall.
+    """
+    grids = [
+        random_maze(24, 24, 0.25, seed=3),
+        random_maze(32, 24, 0.3, seed=4),
+        OccupancyGrid(np.random.default_rng(5).random((14, 14)) < 0.2, 0.5, (1.3, -2.1)),
+        OccupancyGrid(np.random.default_rng(6).random((20, 16)) < 0.35, 0.25),
+        OccupancyGrid(np.zeros((6, 9), dtype=bool), 0.5, (-3.0, 2.5)),
+    ]
+    rng = np.random.default_rng(11)
+    runs = []
+    for grid in grids:
+        for spec in (SPOT, A1):
+            checker = grid.collision_checker(spec.footprint_radius)
+            for name in sorted(PROFILES):
+                for substeps in (1, 7, 240):
+                    cfg = DynamicLiteConfig(PROFILES[name].tau, substeps,
+                                            PROFILES[name].slide_on_contact)
+                    starts = [random_free_pose(checker, grid, rng) for _ in range(2)]
+                    starts += [hugging_pose(checker, grid, rng) for _ in range(4)]
+                    for j, pose in enumerate(starts):
+                        speed = 3.0 if j % 2 else 0.0
+                        vel = VelocityCommand(speed * math.cos(pose.theta),
+                                              speed * math.sin(pose.theta), 0.0)
+                        for _ in range(4):
+                            cmd = clamp_command(VelocityCommand(
+                                rng.uniform(0.0, 0.6), rng.uniform(-0.3, 0.3),
+                                rng.uniform(-0.4, 0.4)), spec)
+                            new = dynamic_lite_step(grid, pose, vel, cmd, cfg, spec)
+                            ref = dynlite_reference_step(grid, pose, vel, cmd, cfg, spec)
+                            runs.append((grid, spec, cfg, pose, vel, cmd, new, ref))
+                            pose, vel, events = ref
+                            if events and events[-1][0] == "fall":
+                                break
+    return runs
+
+
+def test_dynlite_matches_exact_reference(dynlite_runs):
+    for grid, spec, cfg, pose, vel, cmd, new, ref in dynlite_runs:
+        assert new == ref, (cfg, pose, vel, cmd)
+    events = [e for *_, (_, _, ev) in dynlite_runs for e in ev]
+    assert sum(kind == "fall" for kind, _ in events) >= 10
+    assert sum(kind == "contact" for kind, _ in events) >= 1000
+    # steps where sliding moved the robot: holding instead ends elsewhere
+    slid = [ref for grid, spec, cfg, pose, vel, cmd, _, ref in dynlite_runs
+            if cfg.slide_on_contact and ref[2] and ref[0] != dynlite_reference_step(
+                grid, pose, vel, cmd, replace(cfg, slide_on_contact=False), spec)[0]]
+    assert len(slid) >= 10
+    # starts whose clearance is within CERT_EPS of the radius take the exact fallback
+    edge = [pose for grid, spec, _, pose, *_ in dynlite_runs
+            if abs(grid.collision_checker(spec.footprint_radius).nearest(pose.x, pose.y)
+                   - spec.footprint_radius) < CERT_EPS]
+    assert len(edge) >= 50
+
+
+def test_dynlite_event_order(dynlite_runs):
+    # NavEnv reads blocked as bool(events) and a fall as the last event
+    for *_, (_, _, events), _ in dynlite_runs:
+        kinds = [kind for kind, _ in events]
+        steps = [k for _, k in events]
+        if "fall" in kinds:
+            assert kinds.count("fall") == 1 and kinds[-1] == "fall"
+            assert len(kinds) >= 2 and kinds[-2] == "contact" and steps[-2] == steps[-1]
+            kinds, steps = kinds[:-1], steps[:-1]
+        assert set(kinds) <= {"contact"}
+        assert steps == sorted(set(steps))

@@ -260,6 +260,64 @@ def test_center_clearance_matches_pointwise():
             assert table[iy, ix] == pytest.approx(grid.clearance(cx, cy), abs=1e-9)
 
 
+
+# -- collision checker -----------------------------------------------------
+
+
+def checker_grids():
+    yield random_obstacles(14, 12, 0.5, seed=7, density=0.25)
+    yield random_obstacles(30, 30, 0.25, seed=8, density=0.03)
+    yield OccupancyGrid(np.random.default_rng(3).random((10, 13)) < 0.4, 0.3, (-1.7, 2.2))
+    yield OccupancyGrid(np.zeros((5, 8), dtype=bool), 0.5, (0.4, -0.9))
+    yield OccupancyGrid(np.ones((4, 4), dtype=bool), 1.0)
+
+
+def probe_points(grid, rng, n=300):
+    """Uniform points on and around the grid plus points on cell boundaries."""
+    x0, y0, x1, y1 = grid.extent
+    pts = rng.uniform((x0 - 0.7, y0 - 0.7), (x1 + 0.7, y1 + 0.7), (n, 2)).tolist()
+    cs = grid.cell_size
+    for _ in range(n // 3):
+        ix = int(rng.integers(0, grid.width + 1))
+        iy = int(rng.integers(0, grid.height + 1))
+        pts.append((x0 + ix * cs, rng.uniform(y0, y1)))
+        pts.append((rng.uniform(x0, x1), y0 + iy * cs))
+        pts.append((x0 + ix * cs, y0 + iy * cs))
+    return pts
+
+
+@pytest.mark.parametrize("radius", [0.2, 0.3])
+def test_nearest_and_penetration_match_brute_force(radius):
+    rng = np.random.default_rng(int(radius * 10))
+    for grid in checker_grids():
+        checker = grid.collision_checker(radius)
+        limit = radius + checker.cap
+        for x, y in probe_points(grid, rng):
+            true = clearance_oracle(grid, x, y)
+            got = checker.nearest(x, y)
+            if true <= limit:
+                assert got == true, (x, y)
+            else:
+                assert got >= limit, (x, y)
+            assert checker.penetration(x, y) == max(radius - true, 0.0), (x, y)
+
+
+def test_certified_discs_agree_with_blocked():
+    rng = np.random.default_rng(9)
+    for grid in checker_grids():
+        checker = grid.collision_checker(0.3)
+        for x, y in probe_points(grid, rng, n=150):
+            hit, reach2 = checker.certify(x, y)
+            assert hit == checker.blocked(x, y)
+            reach = math.sqrt(reach2)
+            for t in (0.5, 1.0 - 1e-12):
+                for a in rng.uniform(-math.pi, math.pi, 4):
+                    qx = x + t * reach * math.cos(a)
+                    qy = y + t * reach * math.sin(a)
+                    if (qx - x) ** 2 + (qy - y) ** 2 < reach2:
+                        assert checker.blocked(qx, qy) == hit, (x, y, qx, qy)
+
+
 # -- raycast ---------------------------------------------------------------
 
 
