@@ -33,6 +33,12 @@ class OracleAgent:
     colinear moves up to the velocity limit, and stops inside the success
     radius. Never commands into inflated cells, so it never collides under the
     kinematic backend.
+
+    Each step looks ahead only as far as the merge can reach: it takes the
+    path one cell at a time (DistanceField.descent_step) and stops at the
+    first cell that turns off the line of the first move or lies beyond
+    lin_limit * dt, so it reads at most lin_limit * dt / cell_size + 1 cells
+    of the path, whatever its length.
     """
 
     def __init__(self, dist_field, spec, dt=1.0):
@@ -72,14 +78,16 @@ class OracleAgent:
         budget = self.spec.lin_limit * self.dt
         at_center = math.hypot(pose.x - cx, pose.y - cy) < 1e-9
         if at_center and math.isfinite(field.values[iy, ix]):
-            path = field.descent_path(ix, iy)
-            if len(path) < 2:
+            step = field.descent_step
+            cell = step((ix, iy))
+            if cell is None:
                 raise NoPathError(f"no descent from cell ({ix}, {iy})")
             # merge colinear descent moves while they fit in one step
-            first = grid.cell_center(*path[1])
+            first = grid.cell_center(*cell)
             fx, fy = first[0] - pose.x, first[1] - pose.y
             target = first
-            for cell in path[2:]:
+            cell = step(cell)
+            while cell is not None:
                 nx, ny = grid.cell_center(*cell)
                 tx, ty = nx - pose.x, ny - pose.y
                 d = math.hypot(tx, ty)
@@ -87,6 +95,7 @@ class OracleAgent:
                 if not colinear or d > budget + 1e-12:
                     break
                 target = (nx, ny)
+                cell = step(cell)
             return target
         # off the lattice (or in an inflated cell): head for the best nearby center
         best = None

@@ -15,7 +15,7 @@ from . import world as world_mod
 from .agents import OracleAgent, RandomAgent
 from .motion import PROFILES, VelocityCommand, dynamic_lite_step, kinematic_step
 from .robots import get_robot
-from .task import NavEnv, SensorConfig
+from .task import NavEnv, SensorConfig, write_trajectory
 
 # purpose tags for RNG streams keyed by (base_seed, episode_id, purpose)
 _RNG_NOISE = 0
@@ -61,7 +61,8 @@ class EvalConfig:
 
 
 @functools.lru_cache(maxsize=8)
-def _load_context(map_path, dataset_path, robot, noise_path):
+def _load_context(map_path, dataset_path, robot, noise_path, contents_sha256):
+    # contents_sha256 only keys the cache: a file rewritten in place misses it
     with open(map_path) as f:
         grid = world_mod.load_world(f.read())
     dataset = episodes_mod.read_dataset(dataset_path)
@@ -70,20 +71,24 @@ def _load_context(map_path, dataset_path, robot, noise_path):
     return grid, dataset, spec, noise
 
 
-def _field_for(grid, goal, radius, cache):
-    key = (round(goal[0], 9), round(goal[1], 9), radius)
-    if key not in cache:
-        cache[key] = world_mod.distance_field(grid, goal, radius)
-    return cache[key]
+def _context(config):
+    """(grid, dataset, spec, noise, dataset sha256) of config, cached by file contents."""
+    digests = tuple(_sha256(p) if p else None
+                    for p in (config.map_path, config.dataset_path, config.noise_path))
+    return _load_context(config.map_path, config.dataset_path, config.robot,
+                         config.noise_path, digests) + (digests[1],)
 
 
 def _run_pairs(config, pairs, traj_dir=None):
-    """Evaluate (seed, episode_id) pairs sequentially; fully deterministic."""
-    grid, dataset, spec, noise = _load_context(
-        config.map_path, config.dataset_path, config.robot, config.noise_path)
+    """Evaluate (seed, episode_id) pairs sequentially; fully deterministic.
+
+    Pairs are evaluated grouped by goal, so only one distance field is alive
+    at a time; every RNG stream is keyed by (seed, episode_id), so the order
+    changes no result. Rows come back in evaluation order.
+    """
+    grid, dataset, spec, noise, _ = _context(config)
     by_id = {ep.episode_id: ep for ep in dataset.episodes}
-    field_cache = {}
-    rows = []
+    jobs = []
     for seed, episode_id in pairs:
         try:
             episode = by_id[episode_id]
@@ -91,7 +96,16 @@ def _run_pairs(config, pairs, traj_dir=None):
             raise ConfigError(f"dataset has no episode {episode_id}") from None
         if episode.geodesic_distance <= 0:
             raise ConfigError(f"episode {episode_id} has non-positive geodesic distance")
-        dist_field = _field_for(grid, episode.goal, spec.footprint_radius, field_cache)
+        goal_key = (round(episode.goal[0], 9), round(episode.goal[1], 9))
+        jobs.append((goal_key, seed, episode))
+    jobs.sort(key=lambda job: job[0])
+    field_key = dist_field = None
+    rows = []
+    for goal_key, seed, episode in jobs:
+        episode_id = episode.episode_id
+        if goal_key != field_key:
+            field_key = goal_key
+            dist_field = world_mod.distance_field(grid, episode.goal, spec.footprint_radius)
         rng_noise = np.random.default_rng(
             np.random.SeedSequence([seed, episode_id, _RNG_NOISE])) if noise else None
         env = NavEnv(grid, spec,
@@ -99,7 +113,8 @@ def _run_pairs(config, pairs, traj_dir=None):
                      dyn_config=None if config.backend == "kinematic"
                      else PROFILES[_PROFILE_BY_BACKEND[config.backend]],
                      noise_model=noise, rng=rng_noise,
-                     sensor=SensorConfig(expose_pose=True))
+                     sensor=SensorConfig(expose_pose=True),
+                     record_trajectory=bool(traj_dir))
         if config.agent == "oracle":
             agent = OracleAgent(dist_field, spec)
         else:
@@ -120,53 +135,50 @@ def _run_pairs(config, pairs, traj_dir=None):
             "termination_reason": res.termination_reason,
         })
         if traj_dir:
-            from .task import write_trajectory
             path = os.path.join(traj_dir, f"traj_s{seed}_e{episode_id}.csv")
             write_trajectory(res.trajectory, path)
     return rows
 
 
 def _worker(args):
-    config_kwargs, pairs = args
-    return _run_pairs(EvalConfig(**config_kwargs), pairs)
+    config_kwargs, pairs, traj_dir = args
+    return _run_pairs(EvalConfig(**config_kwargs), pairs, traj_dir=traj_dir)
 
 
 def run_batch(config, traj_dir=None):
     """Run every (episode x seed) pair; results are independent of worker count.
 
+    With traj_dir, each pair's trajectory is written there as
+    traj_s<seed>_e<episode_id>.csv, by whichever worker evaluates it.
     Returns (summary dict, per-episode row dicts sorted by (seed, episode_id)).
     """
-    grid, dataset, spec, noise = _load_context(
-        config.map_path, config.dataset_path, config.robot, config.noise_path)
+    grid, dataset, spec, noise, dataset_sha256 = _context(config)
     if traj_dir:
         os.makedirs(traj_dir, exist_ok=True)
     pairs = [(seed, ep.episode_id) for seed in config.seeds for ep in dataset.episodes]
     if config.workers == 1 or len(pairs) < 2:
         rows = _run_pairs(config, pairs, traj_dir=traj_dir)
     else:
-        if traj_dir:
-            rows = _run_pairs(config, pairs, traj_dir=traj_dir)
-        else:
-            nchunks = min(len(pairs), config.workers * 4)
-            chunks = [pairs[i::nchunks] for i in range(nchunks)]
-            kwargs = {k: getattr(config, k) for k in (
-                "map_path", "dataset_path", "robot", "backend", "noise_path",
-                "agent", "seeds", "workers", "label")}
-            rows = []
-            with ProcessPoolExecutor(max_workers=config.workers) as pool:
-                for part in pool.map(_worker, [(kwargs, c) for c in chunks]):
-                    rows.extend(part)
+        nchunks = min(len(pairs), config.workers * 4)
+        chunks = [pairs[i::nchunks] for i in range(nchunks)]
+        kwargs = {k: getattr(config, k) for k in (
+            "map_path", "dataset_path", "robot", "backend", "noise_path",
+            "agent", "seeds", "workers", "label")}
+        rows = []
+        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+            for part in pool.map(_worker, [(kwargs, c, traj_dir) for c in chunks]):
+                rows.extend(part)
     rows.sort(key=lambda r: (r["seed"], r["episode_id"]))
-    summary = _summarize(config, rows)
+    summary = _summarize(config, rows, dataset_sha256)
     return summary, rows
 
 
-def _summarize(config, rows):
+def _summarize(config, rows, dataset_sha256):
     summary = {
         "label": config.label,
         "map": config.map_path,
         "dataset": config.dataset_path,
-        "dataset_sha256": _sha256(config.dataset_path),
+        "dataset_sha256": dataset_sha256,
         "robot": config.robot,
         "backend": config.backend,
         "noise": config.noise_path or "none",

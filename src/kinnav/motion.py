@@ -52,13 +52,12 @@ def clamp_command(cmd, spec):
     )
 
 
-def kinematic_step(grid, pose, cmd, dt, spec, swept=False):
+def kinematic_step(grid, pose, cmd, dt, spec):
     """Teleport to the Euler-integrated next state, or hold position on collision.
 
     The candidate position uses the start-of-step heading. If the footprint disc
     would overlap occupied space there, the position is kept and blocked=True;
-    the heading still updates. With swept=True the straight segment is also
-    sampled for collisions (off by default: endpoint-only).
+    the heading still updates. Only the end point is tested, not the segment.
     """
     checker = grid.collision_checker(spec.footprint_radius)
     if checker.blocked(pose.x, pose.y):
@@ -69,14 +68,6 @@ def kinematic_step(grid, pose, cmd, dt, spec, swept=False):
     ny = pose.y + (cmd.vx * s + cmd.vy * c) * dt
     nth = wrap_angle(pose.theta + cmd.w * dt)
     blocked = checker.blocked(nx, ny)
-    if not blocked and swept:
-        dist = math.hypot(nx - pose.x, ny - pose.y)
-        n = int(math.ceil(dist / (0.5 * grid.cell_size)))
-        for k in range(1, n):
-            t = k / n
-            if checker.blocked(pose.x + (nx - pose.x) * t, pose.y + (ny - pose.y) * t):
-                blocked = True
-                break
     if blocked:
         return Pose(pose.x, pose.y, nth), True
     return Pose(nx, ny, nth), False

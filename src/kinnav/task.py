@@ -143,12 +143,17 @@ class NavEnv:
 
     Owned by a single execution context at a time; stepping is synchronous.
     The agent issues a VelocityCommand (or AgentAction with a stop flag) once
-    per control period `dt`.
+    per control period `dt`. step() returns an info dict with the keys
+    "blocked", "dgeo", "r_geo" and "reason".
+
+    With record_trajectory=True every step appends a TRAJ_FIELDS record,
+    including the exact clearance at the new pose, to the episode's
+    trajectory; otherwise the trajectory stays empty and no step pays for it.
     """
 
     def __init__(self, grid, spec, backend="kinematic", dyn_config=None,
                  noise_model=None, rng=None, sensor=None, reward_cfg=None,
-                 dt=1.0, swept=False):
+                 dt=1.0, record_trajectory=False):
         if backend not in ("kinematic", "dynamic-lite"):
             raise ValueError(f"unknown backend {backend!r}")
         if backend == "dynamic-lite" and dyn_config is None:
@@ -164,7 +169,8 @@ class NavEnv:
         self.sensor = sensor or SensorConfig()
         self.reward_cfg = reward_cfg or RewardConfig()
         self.dt = dt
-        self.swept = swept
+        self.record_trajectory = record_trajectory
+        self._checker = grid.collision_checker(spec.footprint_radius)
         self.episode = None
 
     def reset(self, episode, dist_field=None):
@@ -183,8 +189,7 @@ class NavEnv:
         self.path_length = 0.0
         self.total_reward = 0.0
         self.trajectory = []
-        if self.grid.collision_checker(self.spec.footprint_radius).blocked(
-                episode.start.x, episode.start.y):
+        if self._checker.blocked(episode.start.x, episode.start.y):
             raise InvalidEpisodeError(f"start pose of episode {episode.episode_id} in collision")
         return self._observe()
 
@@ -220,7 +225,7 @@ class NavEnv:
                 applied = apply_noise(cmd, self.noise_model, self.rng)
             if self.backend == "kinematic":
                 new_pose, blocked = kinematic_step(
-                    self.grid, self.pose, applied, self.dt, self.spec, swept=self.swept)
+                    self.grid, self.pose, applied, self.dt, self.spec)
             else:
                 new_pose, self.actual_vel, events = dynamic_lite_step(
                     self.grid, self.pose, self.actual_vel, applied,
@@ -254,19 +259,19 @@ class NavEnv:
         self.prev_dgeo = new_dgeo
         self.total_reward += r
 
-        clear = self.grid.clearance(self.pose.x, self.pose.y)
-        if clear - self.spec.footprint_radius < PROXIMITY_MARGIN:
+        if self._checker.near(self.pose.x, self.pose.y, PROXIMITY_MARGIN):
             self.num_collisions += 1
 
-        self.trajectory.append({
-            "step": self.num_actions, "x": self.pose.x, "y": self.pose.y,
-            "theta": self.pose.theta, "cmd_vx": cmd.vx, "cmd_vy": cmd.vy,
-            "cmd_w": cmd.w, "applied_vx": applied.vx, "applied_vy": applied.vy,
-            "applied_w": applied.w, "dgeo": new_dgeo, "reward": r,
-            "blocked": int(blocked), "clearance": clear,
-        })
-        info = {"blocked": blocked, "dgeo": new_dgeo, "r_geo": r_geo,
-                "clearance": clear, "reason": self.reason}
+        if self.record_trajectory:
+            self.trajectory.append({
+                "step": self.num_actions, "x": self.pose.x, "y": self.pose.y,
+                "theta": self.pose.theta, "cmd_vx": cmd.vx, "cmd_vy": cmd.vy,
+                "cmd_w": cmd.w, "applied_vx": applied.vx, "applied_vy": applied.vy,
+                "applied_w": applied.w, "dgeo": new_dgeo, "reward": r,
+                "blocked": int(blocked),
+                "clearance": self.grid.clearance(self.pose.x, self.pose.y),
+            })
+        info = {"blocked": blocked, "dgeo": new_dgeo, "r_geo": r_geo, "reason": self.reason}
         return self._observe(), r, self.done, info
 
     def result(self):

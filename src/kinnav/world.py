@@ -1,5 +1,6 @@
 """2D occupancy-grid worlds: map I/O, clearance queries, geodesic distance fields, ray casting."""
 
+import itertools
 import math
 
 import numpy as np
@@ -192,7 +193,8 @@ class _CollisionChecker:
     could touch, nearest first; most lists are empty. blocked() reads only the
     list of the query point's cell. nearest() reads a second, wider list per
     cell, built on first use, that holds every rectangle within radius + cap
-    of any point of the cell.
+    of any point of the cell; near() answers the proximity test
+    clearance - radius < margin from it.
 
     certify() gives blocked()'s answer together with a disc around the query
     point on which blocked() gives that same answer. The clearance c(p), the
@@ -237,26 +239,43 @@ class _CollisionChecker:
         self._cands = self._cell_lists(radius + SQRT2 * cs, nearest_first=True)
 
     def _cell_lists(self, reach, nearest_first=False):
-        """Per cell, the rects whose center lies within reach of the cell center."""
+        """Per cell, the rects whose center lies within reach of the cell center.
+
+        Lists hold rects in index order, or nearest to the cell center first
+        with ties in index order. Queried one grid row at a time.
+        """
         grid = self.grid
-        out = [()] * (self._w * self._h)
+        w = self._w
+        out = [()] * (w * self._h)
         if grid._tree is None:
             return out
         cs = self._cs
         ox, oy = grid.origin
-        xs = ox + (np.arange(self._w) + 0.5) * cs
+        xs = ox + (np.arange(w) + 0.5) * cs
         ys = oy + (np.arange(self._h) + 0.5) * cs
-        gx, gy = np.meshgrid(xs, ys)
-        pts = np.column_stack([gx.ravel(), gy.ravel()])
+        occ_x0, occ_y0 = grid._occ_x0, grid._occ_y0
         rects = self._rects
-        for k, idxs in enumerate(grid._tree.query_ball_point(pts, reach)):
-            if idxs:
-                cell = [rects[i] for i in idxs]
-                if nearest_first:
-                    cx, cy = pts[k].tolist()
-                    cell.sort(key=lambda r: (max(r[0] - cx, cx - r[2], 0.0) ** 2
-                                             + max(r[1] - cy, cy - r[3], 0.0) ** 2))
-                out[k] = tuple(cell)
+        for iy, cy in enumerate(ys):
+            # a multi-point query lists each point's indices in ascending order
+            hits = grid._tree.query_ball_point(np.column_stack([xs, np.full(w, cy)]), reach)
+            if nearest_first:
+                counts = [len(h) for h in hits]
+                total = sum(counts)
+                if not total:
+                    continue
+                idx = np.fromiter(itertools.chain.from_iterable(hits), np.intp, total)
+                cell = np.repeat(np.arange(w), counts)
+                cx = xs[cell]
+                rx0, ry0 = occ_x0[idx], occ_y0[idx]
+                dx = np.maximum(np.maximum(rx0 - cx, cx - (rx0 + cs)), 0.0)
+                dy = np.maximum(np.maximum(ry0 - cy, cy - (ry0 + cs)), 0.0)
+                # by cell, then by distance; the sort is stable, so ties keep index order
+                idx = idx[np.lexsort((dx * dx + dy * dy, cell))].tolist()
+                hits = [idx[end - n:end] for n, end in zip(counts, itertools.accumulate(counts))]
+            row = iy * w
+            for ix, h in enumerate(hits):
+                if h:
+                    out[row + ix] = tuple([rects[i] for i in h])
         return out
 
     def blocked(self, x, y):
@@ -282,7 +301,9 @@ class _CollisionChecker:
         """Distance from (x, y) to the nearest occupied boundary, grid edge included.
 
         Equal to grid.clearance(x, y) wherever that is at most radius + cap, and
-        at least radius + cap elsewhere. Zero outside the grid.
+        at least radius + cap elsewhere: it is a minimum over a subset of the
+        rects, so it never understates the clearance, but above radius + cap it
+        may overstate it. Zero outside the grid.
         """
         x0, y0, x1, y1 = self._extent
         best = x - x0
@@ -318,6 +339,27 @@ class _CollisionChecker:
     def penetration(self, x, y):
         """How far a disc at (x, y) digs into occupied space (0 when free)."""
         return max(self.radius - self.nearest(x, y), 0.0)
+
+    def near(self, x, y, margin):
+        """grid.clearance(x, y) - radius < margin for (x, y) in the grid, from nearest().
+
+        Below radius + cap, nearest() is the clearance, so a distance at least
+        CERT_EPS from radius + margin settles the answer. Above it, the
+        clearance is only known to be at least radius + cap, which settles
+        "no" when radius + cap clears radius + margin by CERT_EPS. Every other
+        point pays the exact clearance query. CERT_EPS covers the rounding by
+        which nearest() and clearance() may differ.
+        """
+        d = self.nearest(x, y)
+        reach = self.radius + margin
+        if d < self._exact_to - CERT_EPS:
+            if d < reach - CERT_EPS:
+                return True
+            if d >= reach + CERT_EPS:
+                return False
+        elif self._exact_to - CERT_EPS >= reach + CERT_EPS:
+            return False
+        return self.grid.clearance(x, y) - self.radius < margin
 
     def certify(self, x, y):
         """(blocked(x, y), r2): blocked() gives the same answer within sqrt(r2) of (x, y)."""
@@ -408,6 +450,7 @@ class DistanceField:
         self.goal_cell = grid.world_to_cell(*self.goal)
         self._finite_tree = None
         self._finite_cells = None
+        self._next = {}
 
     def value_at(self, x, y):
         """Continuous geodesic distance at a world point.
@@ -471,18 +514,31 @@ class DistanceField:
             return None
         return best
 
+    def descent_step(self, cell):
+        """The cell after `cell` on its descent path, or None where the path ends.
+
+        The path ends at the goal cell and at a cell none of whose neighbors is
+        strictly lower. Results are memoized per field as cells are asked for.
+        """
+        nxt = self._next.get(cell, False)
+        if nxt is False:
+            nxt = None
+            if cell != self.goal_cell:
+                nxt = self.descent_neighbor(*cell)
+                vals = self.values
+                if nxt is not None and vals[nxt[1], nxt[0]] >= vals[cell[1], cell[0]]:
+                    nxt = None
+            self._next[cell] = nxt
+        return nxt
+
     def descent_path(self, ix, iy):
         """Cells of the greedy steepest-descent path from (ix, iy) to the goal cell."""
         path = [(ix, iy)]
-        cur = (ix, iy)
-        guard = self.grid.width * self.grid.height + 1
-        while cur != self.goal_cell and guard > 0:
-            nxt = self.descent_neighbor(*cur)
-            if nxt is None or self.values[nxt[1], nxt[0]] >= self.values[cur[1], cur[0]]:
-                break
+        nxt = self.descent_step(path[0])
+        # values fall strictly along the path, so it visits no cell twice
+        while nxt is not None:
             path.append(nxt)
-            cur = nxt
-            guard -= 1
+            nxt = self.descent_step(nxt)
         return path
 
 

@@ -1,14 +1,20 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here is deliberately slow and written with plain scalar loops so
-that it shares no code path with the package under test. The one exception is
-dynlite_reference_step, which runs on the package's exact collision tests and
-checks how the package avoids calling them.
+that it shares no code path with the package under test. The exceptions are
+earlier versions of package code, kept verbatim so that faster replacements
+can be checked against them for exact equality: dynlite_reference_step runs on
+the package's exact collision tests, descent_path_reference and
+oracle_target_reference on DistanceField.descent_neighbor, and
+cell_lists_reference builds a collision checker's per-cell tables.
 """
 
 import heapq
 import math
 
+import numpy as np
+
+from kinnav.agents import NoPathError
 from kinnav.motion import InconsistentStateError, Pose, VelocityCommand, wrap_angle
 
 SQRT2 = math.sqrt(2.0)
@@ -144,3 +150,86 @@ def dynlite_reference_step(grid, pose, actual_vel, cmd, config, spec, dt=1.0):
             x, y = nx, ny
         th += w * delta
     return Pose(x, y, wrap_angle(th)), VelocityCommand(vx, vy, w), events
+
+
+def descent_path_reference(field, ix, iy):
+    """DistanceField.descent_path as it was: the whole path, one neighbor scan per cell."""
+    path = [(ix, iy)]
+    cur = (ix, iy)
+    guard = field.grid.width * field.grid.height + 1
+    while cur != field.goal_cell and guard > 0:
+        nxt = field.descent_neighbor(*cur)
+        if nxt is None or field.values[nxt[1], nxt[0]] >= field.values[cur[1], cur[0]]:
+            break
+        path.append(nxt)
+        cur = nxt
+        guard -= 1
+    return path
+
+
+def oracle_target_reference(field, spec, dt, pose):
+    """OracleAgent._target as it was: merges along the whole descent path."""
+    grid = field.grid
+    ix, iy = grid.world_to_cell(pose.x, pose.y)
+    cx, cy = grid.cell_center(ix, iy)
+    budget = spec.lin_limit * dt
+    at_center = math.hypot(pose.x - cx, pose.y - cy) < 1e-9
+    if at_center and math.isfinite(field.values[iy, ix]):
+        path = descent_path_reference(field, ix, iy)
+        if len(path) < 2:
+            raise NoPathError(f"no descent from cell ({ix}, {iy})")
+        # merge colinear descent moves while they fit in one step
+        first = grid.cell_center(*path[1])
+        fx, fy = first[0] - pose.x, first[1] - pose.y
+        target = first
+        for cell in path[2:]:
+            nx, ny = grid.cell_center(*cell)
+            tx, ty = nx - pose.x, ny - pose.y
+            d = math.hypot(tx, ty)
+            colinear = abs(fx * ty - fy * tx) < 1e-9 and (fx * tx + fy * ty) > 0
+            if not colinear or d > budget + 1e-12:
+                break
+            target = (nx, ny)
+        return target
+    # off the lattice (or in an inflated cell): head for the best nearby center
+    best = None
+    best_d = math.inf
+    for dy in (-1, 0, 1):
+        for dx in (-1, 0, 1):
+            nx, ny = ix + dx, iy + dy
+            if 0 <= nx < grid.width and 0 <= ny < grid.height:
+                v = field.values[ny, nx]
+                if math.isfinite(v):
+                    px, py = grid.cell_center(nx, ny)
+                    step = math.hypot(pose.x - px, pose.y - py)
+                    d = v + step
+                    if d < best_d and step > 1e-9:
+                        best_d = d
+                        best = (px, py)
+    if best is None:
+        raise NoPathError(f"no reachable cell near ({pose.x}, {pose.y})")
+    return best
+
+
+def cell_lists_reference(checker, reach, nearest_first=False):
+    """_CollisionChecker._cell_lists as it was: one query, a key function per cell."""
+    grid = checker.grid
+    out = [()] * (checker._w * checker._h)
+    if grid._tree is None:
+        return out
+    cs = checker._cs
+    ox, oy = grid.origin
+    xs = ox + (np.arange(checker._w) + 0.5) * cs
+    ys = oy + (np.arange(checker._h) + 0.5) * cs
+    gx, gy = np.meshgrid(xs, ys)
+    pts = np.column_stack([gx.ravel(), gy.ravel()])
+    rects = checker._rects
+    for k, idxs in enumerate(grid._tree.query_ball_point(pts, reach)):
+        if idxs:
+            cell = [rects[i] for i in idxs]
+            if nearest_first:
+                cx, cy = pts[k].tolist()
+                cell.sort(key=lambda r: (max(r[0] - cx, cx - r[2], 0.0) ** 2
+                                         + max(r[1] - cy, cy - r[3], 0.0) ** 2))
+            out[k] = tuple(cell)
+    return out

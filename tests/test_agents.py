@@ -5,11 +5,15 @@ import pytest
 
 from kinnav.agents import (STOP, AgentAction, ConstantAgent, NoPathError,
                            OracleAgent, RandomAgent)
+from kinnav.episodes import sample_episodes
 from kinnav.maps import random_maze
 from kinnav.motion import Pose, VelocityCommand
-from kinnav.robots import SPOT
+from kinnav.noise import reference_model
+from kinnav.robots import SPOT, get_robot
 from kinnav.task import Episode, NavEnv, SensorConfig
 from kinnav.world import OccupancyGrid, distance_field
+
+from oracles import oracle_target_reference
 
 
 def open_grid(n=40, cs=0.25):
@@ -114,6 +118,37 @@ def test_oracle_monotone_dgeo_on_maze():
     # strictly decreasing until the terminal stop step
     for a, b in zip(dgeos[:-2], dgeos[1:-1]):
         assert b < a - 1e-12
+
+
+def test_oracle_targets_match_reference():
+    # oracle rollouts on and off the cell lattice (noise), for robots whose
+    # one-step reach spans one to five cells
+    on_lattice = off_lattice = 0
+    for cell_size, corridor, robot, noisy in ((0.25, 3, "spot", False), (0.25, 3, "spot", True),
+                                              (0.5, 3, "spot", True), (0.25, 3, "a1", False),
+                                              (0.25, 3, "aliengo", True), (0.1, 9, "spot", False)):
+        spec = get_robot(robot)
+        grid = random_maze(41, 41, cell_size, seed=17, corridor=corridor)
+        ds = sample_episodes(grid, 5, seed=4, largest_spec=spec)
+        for ep in ds.episodes:
+            field = distance_field(grid, ep.goal, spec.footprint_radius)
+            agent = OracleAgent(field, spec)
+            env = NavEnv(grid, spec, noise_model=reference_model("coupled") if noisy else None,
+                         rng=np.random.default_rng(ep.episode_id),
+                         sensor=SensorConfig(expose_pose=True))
+            obs = env.reset(ep, field)
+            done = False
+            while not done:
+                if obs.goal_vector[0] > spec.success_radius:
+                    pose = obs.pose
+                    assert agent._target(pose) == oracle_target_reference(field, spec, 1.0, pose)
+                    cx, cy = grid.cell_center(*grid.world_to_cell(pose.x, pose.y))
+                    if math.hypot(pose.x - cx, pose.y - cy) < 1e-9:
+                        on_lattice += 1
+                    else:
+                        off_lattice += 1
+                obs, _, done, _ = env.step(agent.act(obs)[0])
+    assert on_lattice >= 200 and off_lattice >= 200
 
 
 def test_random_agent_within_limits_and_deterministic():

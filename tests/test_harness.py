@@ -1,7 +1,9 @@
+import hashlib
 import os
 
 import pytest
 
+from kinnav import harness
 from kinnav.episodes import sample_episodes, write_dataset
 from kinnav.harness import (BACKENDS, ConfigError, DatasetMismatchError,
                             EvalConfig, GapTable, bench_throughput, load_run,
@@ -71,6 +73,65 @@ def test_workers_do_not_change_results(small_setup, tmp_path):
         with open(os.path.join(d, "episodes.csv"), "rb") as f:
             out[workers] = f.read()
     assert out[1] == out[2]
+
+
+class RecordingPool:
+    """In-process stand-in for ProcessPoolExecutor that records its use."""
+
+    calls = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        items = list(items)
+        RecordingPool.calls.append(len(items))
+        return [fn(item) for item in items]
+
+
+def read_dir(path):
+    out = {}
+    for name in sorted(os.listdir(path)):
+        with open(os.path.join(path, name), "rb") as f:
+            out[name] = f.read()
+    return out
+
+
+def test_trajectories_with_workers(small_setup, tmp_path, monkeypatch):
+    root, grid, map_path, ds_path = small_setup
+    trajs = {}
+    for workers in (1, 2):
+        cfg = EvalConfig(map_path, ds_path, seeds=(0, 1), workers=workers)
+        run_batch(cfg, traj_dir=str(tmp_path / f"w{workers}"))
+        trajs[workers] = read_dir(tmp_path / f"w{workers}")
+    assert len(trajs[1]) == 16
+    assert trajs[1] == trajs[2]
+    # the worker pool evaluates the pairs, trajectories included
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    RecordingPool.calls = []
+    cfg = EvalConfig(map_path, ds_path, seeds=(0, 1), workers=2)
+    run_batch(cfg, traj_dir=str(tmp_path / "fake"))
+    assert RecordingPool.calls == [8]
+    assert read_dir(tmp_path / "fake") == trajs[1]
+
+
+def test_rewritten_dataset_is_reread(small_setup, tmp_path):
+    root, grid, map_path, ds_path = small_setup
+    path = str(tmp_path / "episodes.jsonl")
+    write_dataset(sample_episodes(grid, 8, seed=3, largest_spec=SPOT), path)
+    summary, rows = run_batch(EvalConfig(map_path, path, seeds=(0,)))
+    assert summary["episodes"] == 8
+    write_dataset(sample_episodes(grid, 10, seed=4, largest_spec=SPOT), path)
+    summary, rows = run_batch(EvalConfig(map_path, path, seeds=(0,)))
+    assert summary["episodes"] == len(rows) == 10
+    with open(path, "rb") as f:
+        assert summary["dataset_sha256"] == hashlib.sha256(f.read()).hexdigest()
 
 
 def test_save_load_run_roundtrip(small_setup, tmp_path):

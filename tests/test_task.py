@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from kinnav.agents import STOP, AgentAction, ConstantAgent, RandomAgent
+from kinnav.episodes import sample_episodes
 from kinnav.maps import random_maze
-from kinnav.motion import Pose, VelocityCommand
+from kinnav.motion import PROFILES, Pose, VelocityCommand
+from kinnav.noise import reference_model
 from kinnav.robots import SPOT
 from kinnav.task import (PROXIMITY_MARGIN, Episode, EpisodeFinishedError,
                          InvalidEpisodeError, NavEnv, RewardConfig,
@@ -267,6 +269,37 @@ def test_proximity_collision_counted():
     assert PROXIMITY_MARGIN == 0.20
 
 
+@pytest.mark.parametrize("cell_size", [0.25, 0.5])
+def test_proximity_count_matches_logged_clearance(cell_size):
+    grid = random_maze(33, 33, cell_size, seed=31)
+    ds = sample_episodes(grid, 4, seed=7, largest_spec=SPOT)
+    for k, ep in enumerate(ds.episodes):
+        field = distance_field(grid, ep.goal, SPOT.footprint_radius)
+        rng = np.random.default_rng(k)
+        env = NavEnv(grid, SPOT, backend="dynamic-lite" if k % 2 else "kinematic",
+                     dyn_config=PROFILES["profile-B"], noise_model=reference_model("coupled"),
+                     rng=rng, record_trajectory=True)
+        agent = RandomAgent(SPOT, rng)
+        env.reset(ep, field)
+        for _ in range(30):
+            if env.step(agent.act(None)[0])[2]:
+                break
+        res = env.result()
+        assert res.num_collisions == sum(
+            rec["clearance"] - SPOT.footprint_radius < PROXIMITY_MARGIN for rec in res.trajectory)
+
+
+def test_trajectory_only_when_recorded():
+    grid = open_grid()
+    goal = (25.5, 20.5)
+    field = distance_field(grid, goal, SPOT.footprint_radius)
+    env = NavEnv(grid, SPOT)
+    env.reset(make_episode(Pose(20.5, 20.5, 0.0), goal, field), field)
+    _, _, _, info = env.step(VelocityCommand(0.5, 0.0, 0.1))
+    assert env.result().trajectory == []
+    assert set(info) == {"blocked", "dgeo", "r_geo", "reason"}
+
+
 # -- trajectory log --------------------------------------------------------
 
 
@@ -274,7 +307,7 @@ def test_trajectory_roundtrip():
     grid = open_grid()
     goal = (25.5, 20.5)
     field = distance_field(grid, goal, SPOT.footprint_radius)
-    env = NavEnv(grid, SPOT)
+    env = NavEnv(grid, SPOT, record_trajectory=True)
     env.reset(make_episode(Pose(20.5, 20.5, 0.0), goal, field), field)
     for _ in range(4):
         env.step(VelocityCommand(0.5, 0.0, 0.1))

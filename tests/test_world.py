@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from kinnav.maps import random_obstacles
-from kinnav.world import (InvalidGoalError, MapError, OccupancyGrid,
+from kinnav.maps import random_maze, random_obstacles
+from kinnav.task import PROXIMITY_MARGIN
+from kinnav.world import (CERT_EPS, InvalidGoalError, MapError, OccupancyGrid,
                           OutOfBoundsError, distance_field, load_world,
                           raycast, save_world)
 
-from oracles import clearance_oracle, dijkstra_oracle, raymarch_oracle
+from oracles import (cell_lists_reference, clearance_oracle, descent_path_reference,
+                     dijkstra_oracle, raymarch_oracle)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -214,6 +216,24 @@ def test_descent_path_reaches_goal():
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
+def test_descent_path_matches_reference():
+    # every start cell, finite or not, of eight goals on each map; the
+    # memoized steps are shared between the starts of one field
+    finite = 0
+    for grid, radius in ((random_maze(33, 33, 0.25, seed=11), 0.3),
+                         (random_maze(25, 25, 0.5, seed=12), 0.3),
+                         (random_obstacles(30, 30, 0.25, seed=13, density=0.1), 0.2)):
+        ok = np.argwhere(grid.passable_mask(radius))
+        rng = np.random.default_rng(len(ok))
+        for gy, gx in ok[rng.choice(len(ok), 8, replace=False)]:
+            f = distance_field(grid, grid.cell_center(gx, gy), radius)
+            for iy in range(grid.height):
+                for ix in range(grid.width):
+                    assert f.descent_path(ix, iy) == descent_path_reference(f, ix, iy), (ix, iy)
+            finite += int(np.isfinite(f.values).sum())
+    assert finite > 4000
+
+
 # -- clearance -------------------------------------------------------------
 
 
@@ -272,6 +292,18 @@ def checker_grids():
     yield OccupancyGrid(np.ones((4, 4), dtype=bool), 1.0)
 
 
+def test_checker_tables_match_reference():
+    grids = [random_maze(64, 64, 0.25, seed=77), random_maze(33, 33, 0.5, seed=3)]
+    for grid in grids + list(checker_grids()):
+        cs = grid.cell_size
+        for radius in (0.2, 0.3):
+            checker = grid.collision_checker(radius)
+            assert checker._cands == cell_lists_reference(
+                checker, radius + SQRT2 * cs, nearest_first=True)
+            checker.nearest(*grid.cell_center(0, 0))  # builds the far table
+            assert checker._far == cell_lists_reference(checker, radius + checker.cap + SQRT2 * cs)
+
+
 def probe_points(grid, rng, n=300):
     """Uniform points on and around the grid plus points on cell boundaries."""
     x0, y0, x1, y1 = grid.extent
@@ -316,6 +348,81 @@ def test_certified_discs_agree_with_blocked():
                     qy = y + t * reach * math.sin(a)
                     if (qx - x) ** 2 + (qy - y) ** 2 < reach2:
                         assert checker.blocked(qx, qy) == hit, (x, y, qx, qy)
+
+
+def boundary_points(inside, a, b):
+    """Points on segment a-b where inside() flips, bisected to adjacent floats, and neighbors."""
+    def at(t):
+        return (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
+
+    lo, hi = 0.0, 1.0  # inside(at(lo)) differs from inside(at(hi))
+    flip = inside(*at(lo))
+    while True:
+        mid = 0.5 * (lo + hi)
+        if at(mid) in (at(lo), at(hi)):
+            break
+        if inside(*at(mid)) == flip:
+            lo = mid
+        else:
+            hi = mid
+    out = []
+    for t in (lo, hi):
+        x, y = at(t)
+        for dx in (-2, -1, 0, 1, 2):
+            out.append((x + dx * math.ulp(x), y))
+    return out
+
+
+@pytest.mark.parametrize("cell_size, radius", [(0.25, 0.3), (0.5, 0.3), (0.25, 0.2), (0.45, 0.25)])
+def test_near_matches_clearance_expression(cell_size, radius):
+    # 0.25 m cells: cap 0.125 < PROXIMITY_MARGIN, so clearances in
+    # (radius + cap, radius + margin) need the exact query; 0.5 m cells: cap
+    # 0.25 > PROXIMITY_MARGIN, so nearest() settles every far point; on
+    # 0.45 m cells nearest() and clearance() often differ in the last bit
+    reach = radius + PROXIMITY_MARGIN
+    rng = np.random.default_rng(int(cell_size * 100 + radius * 10))
+    at_reach = at_cap = between = 0
+    lone = np.zeros((16, 16), dtype=bool)
+    lone[8, 8] = True
+    for grid in (random_maze(33, 33, cell_size, seed=21),
+                 OccupancyGrid(rng.random((30, 30)) < 0.08, cell_size, (-1.37, 0.91)),
+                 OccupancyGrid(lone, cell_size)):
+        checker = grid.collision_checker(radius)
+        exact_to = radius + checker.cap
+        x0, y0, x1, y1 = grid.extent
+        pts = [tuple(p) for p in rng.uniform((x0, y0), (x1, y1), (800, 2)).tolist()]
+        if grid.cells.sum() == 1:
+            # a lattice around the lone cell; with radius 0.2 on 0.25 m cells,
+            # nearest() leaves the cell out at some points within radius + margin
+            cx, cy = grid.cell_center(8, 8)
+            ticks = np.arange(-1.0, 1.0, 0.025).tolist()
+            pts += [(cx + u, cy + v) for u in ticks for v in ticks]
+
+        def expected(x, y):
+            return grid.clearance(x, y) - radius < PROXIMITY_MARGIN
+
+        clear = [grid.clearance(*p) for p in pts]
+        # points within ulps of where expected() flips, of radius + cap, and
+        # of a clearance halfway between
+        close = [p for p, c in zip(pts, clear) if c - radius < PROXIMITY_MARGIN]
+        away = [p for p, c in zip(pts, clear) if not c - radius < PROXIMITY_MARGIN]
+        extra = []
+        for a, b in zip(close[:50], away[:50]):
+            extra += boundary_points(expected, a, b)
+        for level in (exact_to, 0.5 * (reach + exact_to)):
+            below = [p for p, c in zip(pts, clear) if c < level]
+            above = [p for p, c in zip(pts, clear) if c >= level]
+            for a, b in zip(below[:25], above[:25]):
+                extra += boundary_points(lambda x, y: grid.clearance(x, y) < level, a, b)
+        pts += extra
+        clear += [grid.clearance(*p) for p in extra]
+        lo, hi = sorted((exact_to, reach))
+        at_reach += sum(abs(c - reach) < CERT_EPS for c in clear)
+        at_cap += sum(abs(c - exact_to) < CERT_EPS for c in clear)
+        between += sum(lo + CERT_EPS < c < hi - CERT_EPS for c in clear)
+        for (x, y), c in zip(pts, clear):
+            assert checker.near(x, y, PROXIMITY_MARGIN) == (c - radius < PROXIMITY_MARGIN), (x, y)
+    assert min(at_reach, at_cap, between) >= 100
 
 
 # -- raycast ---------------------------------------------------------------
