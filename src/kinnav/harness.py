@@ -54,6 +54,8 @@ class EvalConfig:
             raise ConfigError(f"unknown agent {self.agent!r}")
         if self.workers < 1:
             raise ConfigError("workers must be at least 1")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"duplicate seeds in {self.seeds}")
         if self.label is None:
             noise_tag = "-noise" if self.noise_path else ""
             object.__setattr__(
@@ -83,8 +85,11 @@ def _run_pairs(config, pairs, traj_dir=None):
     """Evaluate (seed, episode_id) pairs sequentially; fully deterministic.
 
     Pairs are evaluated grouped by goal, so only one distance field is alive
-    at a time; every RNG stream is keyed by (seed, episode_id), so the order
-    changes no result. Rows come back in evaluation order.
+    at a time, and by episode, so the seeds of one episode run back to back.
+    Every RNG stream is keyed by (seed, episode_id, purpose), so the order
+    changes no result. A condition that draws from no stream (`seed_free`)
+    rolls each episode out once and gives every seed a copy of that row and
+    trajectory. Rows come back in evaluation order.
     """
     grid, dataset, spec, noise, _ = _context(config)
     by_id = {ep.episode_id: ep for ep in dataset.episodes}
@@ -97,43 +102,50 @@ def _run_pairs(config, pairs, traj_dir=None):
         if episode.geodesic_distance <= 0:
             raise ConfigError(f"episode {episode_id} has non-positive geodesic distance")
         goal_key = (round(episode.goal[0], 9), round(episode.goal[1], 9))
-        jobs.append((goal_key, seed, episode))
-    jobs.sort(key=lambda job: job[0])
-    field_key = dist_field = None
+        jobs.append((goal_key, episode_id, seed, episode))
+    jobs.sort(key=lambda job: job[:2])
+    # the streams built below are the noise stream (only with a noise model)
+    # and the random agent's; with neither, every seed replays one rollout
+    seed_free = not noise and config.agent == "oracle"
+    field_key = dist_field = row = None
     rows = []
-    for goal_key, seed, episode in jobs:
-        episode_id = episode.episode_id
-        if goal_key != field_key:
-            field_key = goal_key
-            dist_field = world_mod.distance_field(grid, episode.goal, spec.footprint_radius)
-        rng_noise = np.random.default_rng(
-            np.random.SeedSequence([seed, episode_id, _RNG_NOISE])) if noise else None
-        env = NavEnv(grid, spec,
-                     backend="kinematic" if config.backend == "kinematic" else "dynamic-lite",
-                     dyn_config=None if config.backend == "kinematic"
-                     else PROFILES[_PROFILE_BY_BACKEND[config.backend]],
-                     noise_model=noise, rng=rng_noise,
-                     sensor=SensorConfig(expose_pose=True),
-                     record_trajectory=bool(traj_dir))
-        if config.agent == "oracle":
-            agent = OracleAgent(dist_field, spec)
+    for goal_key, episode_id, seed, episode in jobs:
+        if seed_free and row is not None and row["episode_id"] == episode_id:
+            row = dict(row, seed=seed)
         else:
-            agent = RandomAgent(spec, np.random.default_rng(
-                np.random.SeedSequence([seed, episode_id, _RNG_AGENT])))
-        obs = env.reset(episode, dist_field)
-        memory = agent.reset()
-        done = False
-        while not done:
-            action, memory = agent.act(obs, memory)
-            obs, _, done, _ = env.step(action)
-        res = env.result()
-        rows.append({
-            "seed": seed, "episode_id": episode_id, "success": int(res.success),
-            "spl": res.spl, "num_actions": res.num_actions,
-            "num_collisions": res.num_collisions, "path_length": res.path_length,
-            "total_reward": res.total_reward,
-            "termination_reason": res.termination_reason,
-        })
+            if goal_key != field_key:
+                field_key = goal_key
+                dist_field = world_mod.distance_field(grid, episode.goal,
+                                                      spec.footprint_radius)
+            rng_noise = np.random.default_rng(
+                np.random.SeedSequence([seed, episode_id, _RNG_NOISE])) if noise else None
+            env = NavEnv(grid, spec,
+                         backend="kinematic" if config.backend == "kinematic" else "dynamic-lite",
+                         dyn_config=None if config.backend == "kinematic"
+                         else PROFILES[_PROFILE_BY_BACKEND[config.backend]],
+                         noise_model=noise, rng=rng_noise,
+                         sensor=SensorConfig(expose_pose=True),
+                         record_trajectory=bool(traj_dir))
+            if config.agent == "oracle":
+                agent = OracleAgent(dist_field, spec)
+            else:
+                agent = RandomAgent(spec, np.random.default_rng(
+                    np.random.SeedSequence([seed, episode_id, _RNG_AGENT])))
+            obs = env.reset(episode, dist_field)
+            memory = agent.reset()
+            done = False
+            while not done:
+                action, memory = agent.act(obs, memory)
+                obs, _, done, _ = env.step(action)
+            res = env.result()
+            row = {
+                "seed": seed, "episode_id": episode_id, "success": int(res.success),
+                "spl": res.spl, "num_actions": res.num_actions,
+                "num_collisions": res.num_collisions, "path_length": res.path_length,
+                "total_reward": res.total_reward,
+                "termination_reason": res.termination_reason,
+            }
+        rows.append(row)
         if traj_dir:
             path = os.path.join(traj_dir, f"traj_s{seed}_e{episode_id}.csv")
             write_trajectory(res.trajectory, path)
@@ -148,6 +160,12 @@ def _worker(args):
 def run_batch(config, traj_dir=None):
     """Run every (episode x seed) pair; results are independent of worker count.
 
+    A condition with no noise model and the oracle agent draws from no RNG
+    stream, so its rollout is the same for every seed: each episode is then
+    simulated once, and every seed still gets its own row and trajectory.
+    Noise and random-agent conditions simulate every pair. Workers receive
+    whole episodes, all seeds of one episode in the same chunk.
+
     With traj_dir, each pair's trajectory is written there as
     traj_s<seed>_e<episode_id>.csv, by whichever worker evaluates it.
     Returns (summary dict, per-episode row dicts sorted by (seed, episode_id)).
@@ -155,12 +173,14 @@ def run_batch(config, traj_dir=None):
     grid, dataset, spec, noise, dataset_sha256 = _context(config)
     if traj_dir:
         os.makedirs(traj_dir, exist_ok=True)
-    pairs = [(seed, ep.episode_id) for seed in config.seeds for ep in dataset.episodes]
-    if config.workers == 1 or len(pairs) < 2:
-        rows = _run_pairs(config, pairs, traj_dir=traj_dir)
+    ids = [ep.episode_id for ep in dataset.episodes]
+    if config.workers == 1 or len(ids) < 2:
+        rows = _run_pairs(config, [(seed, i) for seed in config.seeds for i in ids],
+                          traj_dir=traj_dir)
     else:
-        nchunks = min(len(pairs), config.workers * 4)
-        chunks = [pairs[i::nchunks] for i in range(nchunks)]
+        nchunks = min(len(ids), config.workers * 4)
+        chunks = [[(seed, i) for i in ids[k::nchunks] for seed in config.seeds]
+                  for k in range(nchunks)]
         kwargs = {k: getattr(config, k) for k in (
             "map_path", "dataset_path", "robot", "backend", "noise_path",
             "agent", "seeds", "workers", "label")}
@@ -337,7 +357,8 @@ def bench_throughput(grid, spec, backends=BACKENDS, steps=2000, warmup=1000,
                      seed=0, substeps=None):
     """Control-steps per second for each backend on the same map and agent.
 
-    Observational only: random commands from a fixed seed, warm-up excluded.
+    Observational only: every backend runs the same `warmup` and then `steps`
+    timed random commands from a fixed seed.
     Returns {backend: steps/sec} plus 'ratio_<b>' entries relative to kinematic.
     """
     passable = grid.passable_mask(spec.footprint_radius)
@@ -364,24 +385,16 @@ def bench_throughput(grid, spec, backends=BACKENDS, steps=2000, warmup=1000,
             t0 = time.perf_counter()
             for cmd in cmds[warmup:]:
                 pose, _ = kinematic_step(grid, pose, cmd, 1.0, spec)
-            elapsed = time.perf_counter() - t0
         else:
             cfg = PROFILES[_PROFILE_BY_BACKEND[backend]]
             if substeps is not None:
                 cfg = replace(cfg, substeps=substeps)
-            # fewer timed steps: each one costs `substeps` physics substeps
-            n_warm = max(warmup // max(cfg.substeps // 16, 1), 2)
-            n_timed = max(steps // max(cfg.substeps // 16, 1), 10)
-            for cmd in cmds[:n_warm]:
+            for cmd in cmds[:warmup]:
                 pose, vel, _ = dynamic_lite_step(grid, pose, vel, cmd, cfg, spec)
             t0 = time.perf_counter()
-            for cmd in cmds[n_warm:n_warm + n_timed]:
+            for cmd in cmds[warmup:]:
                 pose, vel, _ = dynamic_lite_step(grid, pose, vel, cmd, cfg, spec)
-            elapsed = time.perf_counter() - t0
-            steps_run = n_timed
-            results[backend] = steps_run / elapsed
-            continue
-        results[backend] = steps / elapsed
+        results[backend] = steps / (time.perf_counter() - t0)
     if "kinematic" in results:
         for backend in backends:
             if backend != "kinematic":

@@ -107,3 +107,14 @@ def test_error_exit_code(workspace, capsys):
     assert main(["gen-episodes", "--map", str(root / "missing.map"),
                  "--n", "1", "--out", str(root / "x.jsonl")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_run_rejects_duplicate_seeds(workspace, capsys):
+    root, map_path = workspace
+    ds = str(root / "dup_eps.jsonl")
+    assert main(["gen-episodes", "--map", map_path, "--n", "2",
+                 "--seed", "2", "--out", ds]) == 0
+    assert main(["run", "--map", map_path, "--dataset", ds, "--seeds", "0,0",
+                 "--out", str(root / "dup")]) == 2
+    assert "duplicate seeds" in capsys.readouterr().err
+    assert not os.path.exists(str(root / "dup"))

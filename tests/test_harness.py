@@ -1,5 +1,6 @@
 import hashlib
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -11,6 +12,7 @@ from kinnav.harness import (BACKENDS, ConfigError, DatasetMismatchError,
 from kinnav.maps import random_maze
 from kinnav.plotting import PlotError, emit_plot
 from kinnav.robots import SPOT
+from kinnav.task import NavEnv
 from kinnav.world import save_world
 
 
@@ -35,6 +37,10 @@ def test_eval_config_validation(small_setup):
         EvalConfig(map_path, ds_path, agent="dqn")
     with pytest.raises(ConfigError):
         EvalConfig(map_path, ds_path, workers=0)
+    with pytest.raises(ConfigError):
+        EvalConfig(map_path, ds_path, seeds=(0, 0))
+    with pytest.raises(ConfigError):
+        EvalConfig(map_path, ds_path, seeds=(1, 0, 1))
     cfg = EvalConfig(map_path, ds_path, backend="dynlite-a", noise_path=None)
     assert cfg.label == "spot-dynlite-a-oracle"
 
@@ -79,6 +85,7 @@ class RecordingPool:
     """In-process stand-in for ProcessPoolExecutor that records its use."""
 
     calls = []
+    chunks = []
 
     def __init__(self, max_workers):
         self.max_workers = max_workers
@@ -92,6 +99,7 @@ class RecordingPool:
     def map(self, fn, items):
         items = list(items)
         RecordingPool.calls.append(len(items))
+        RecordingPool.chunks.extend(pairs for _, pairs, _ in items)
         return [fn(item) for item in items]
 
 
@@ -119,6 +127,105 @@ def test_trajectories_with_workers(small_setup, tmp_path, monkeypatch):
     run_batch(cfg, traj_dir=str(tmp_path / "fake"))
     assert RecordingPool.calls == [8]
     assert read_dir(tmp_path / "fake") == trajs[1]
+
+
+@pytest.fixture(scope="module")
+def mazes(tmp_path_factory):
+    """{cell size: (map path, dataset path)} for a 0.25 m and a 0.5 m maze.
+
+    Each dataset holds 11 episodes; the last repeats episode 0, so two
+    episodes share a goal.
+    """
+    root = tmp_path_factory.mktemp("mazes")
+    out = {}
+    for cell, grid in ((0.25, random_maze(48, 48, 0.25, seed=77)),
+                       (0.5, random_maze(41, 41, 0.5, seed=9))):
+        map_path = str(root / f"maze{cell}.map")
+        with open(map_path, "w") as f:
+            f.write(save_world(grid))
+        ds = sample_episodes(grid, 10, seed=3, largest_spec=SPOT)
+        ds.episodes.append(replace(ds.episodes[0], episode_id=10))
+        ds_path = str(root / f"episodes{cell}.jsonl")
+        write_dataset(ds, ds_path)
+        out[cell] = map_path, ds_path
+    return out
+
+
+def counted_run(monkeypatch, config, traj_dir=None):
+    """run_batch's rows and the number of NavEnv.step calls it made."""
+    calls = [0]
+    step = NavEnv.step
+
+    def counting(self, action):
+        calls[0] += 1
+        return step(self, action)
+
+    with monkeypatch.context() as m:
+        m.setattr(NavEnv, "step", counting)
+        _, rows = run_batch(config, traj_dir=traj_dir)
+    return rows, calls[0]
+
+
+@pytest.mark.parametrize("cell", [0.25, 0.5])
+@pytest.mark.parametrize("backend", ["kinematic", "dynlite-b"])
+def test_seed_free_condition_rolls_out_once(mazes, monkeypatch, backend, cell):
+    map_path, ds_path = mazes[cell]
+    single = [counted_run(monkeypatch, EvalConfig(map_path, ds_path, backend=backend,
+                                                  seeds=(seed,)))
+              for seed in (0, 1, 2)]
+    rows, calls = counted_run(monkeypatch, EvalConfig(map_path, ds_path, backend=backend,
+                                                      seeds=(0, 1, 2)))
+    assert rows == [row for part, _ in single for row in part]
+    assert calls == single[0][1] > 0
+
+
+@pytest.mark.parametrize("agent,noise_file", [("random", None),
+                                              ("oracle", "spot_coupled.noise")])
+def test_conditions_with_streams_evaluate_every_seed(mazes, monkeypatch, agent, noise_file):
+    from importlib import resources
+    map_path, ds_path = mazes[0.25]
+    noise_path = noise_file and str(resources.files("kinnav.data").joinpath(noise_file))
+    single = [counted_run(monkeypatch, EvalConfig(map_path, ds_path, agent=agent,
+                                                  noise_path=noise_path, seeds=(seed,)))
+              for seed in (0, 1, 2)]
+    rows, calls = counted_run(monkeypatch, EvalConfig(map_path, ds_path, agent=agent,
+                                                      noise_path=noise_path,
+                                                      seeds=(0, 1, 2)))
+    assert rows == [row for part, _ in single for row in part]
+    assert calls == sum(n for _, n in single)
+    outcomes = [[{k: v for k, v in row.items() if k != "seed"} for row in part]
+                for part, _ in single]
+    assert outcomes[0] != outcomes[1] and outcomes[1] != outcomes[2] \
+        and outcomes[0] != outcomes[2]
+
+
+def test_seed_free_trajectories_per_seed(mazes, tmp_path):
+    map_path, ds_path = mazes[0.25]
+    single = {}
+    for seed in (0, 1, 2):
+        run_batch(EvalConfig(map_path, ds_path, seeds=(seed,)),
+                  traj_dir=str(tmp_path / f"s{seed}"))
+        single.update(read_dir(tmp_path / f"s{seed}"))
+    run_batch(EvalConfig(map_path, ds_path, seeds=(0, 1, 2)), traj_dir=str(tmp_path / "all"))
+    assert len(single) == 33
+    assert read_dir(tmp_path / "all") == single
+
+
+@pytest.mark.parametrize("agent", ["oracle", "random"])
+def test_workers_receive_whole_episodes(mazes, tmp_path, monkeypatch, agent):
+    map_path, ds_path = mazes[0.25]
+    runs = {}
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    for workers in (1, 2):
+        RecordingPool.chunks = []
+        cfg = EvalConfig(map_path, ds_path, agent=agent, seeds=(0, 1, 2), workers=workers)
+        summary, rows = run_batch(cfg)
+        save_run(str(tmp_path / f"w{workers}"), summary, rows)
+        runs[workers] = read_dir(tmp_path / f"w{workers}")
+    chunk_ids = [{episode_id for _, episode_id in pairs} for pairs in RecordingPool.chunks]
+    assert len(chunk_ids) > 1
+    assert sum(len(ids) for ids in chunk_ids) == len(set().union(*chunk_ids)) == 11
+    assert runs[1] == runs[2]
 
 
 def test_rewritten_dataset_is_reread(small_setup, tmp_path):
