@@ -8,7 +8,7 @@ the goal distance field it was constructed with.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .motion import VelocityCommand, clamp_command, wrap_angle
 
@@ -17,8 +17,7 @@ class NoPathError(RuntimeError):
     """Oracle has no reachable route to the goal."""
 
 
-@dataclass(frozen=True)
-class AgentAction:
+class AgentAction(NamedTuple):
     cmd: VelocityCommand
     stop: bool = False
 
@@ -73,11 +72,13 @@ class OracleAgent:
     def _target(self, pose):
         field = self.field
         grid = field.grid
+        vals = field.flat_values
+        w = grid.width
         ix, iy = grid.world_to_cell(pose.x, pose.y)
         cx, cy = grid.cell_center(ix, iy)
         budget = self.spec.lin_limit * self.dt
         at_center = math.hypot(pose.x - cx, pose.y - cy) < 1e-9
-        if at_center and math.isfinite(field.values[iy, ix]):
+        if at_center and math.isfinite(vals[iy * w + ix]):
             step = field.descent_step
             cell = step((ix, iy))
             if cell is None:
@@ -103,8 +104,8 @@ class OracleAgent:
         for dy in (-1, 0, 1):
             for dx in (-1, 0, 1):
                 nx, ny = ix + dx, iy + dy
-                if 0 <= nx < grid.width and 0 <= ny < grid.height:
-                    v = field.values[ny, nx]
+                if 0 <= nx < w and 0 <= ny < grid.height:
+                    v = vals[ny * w + nx]
                     if math.isfinite(v):
                         px, py = grid.cell_center(nx, ny)
                         step = math.hypot(pose.x - px, pose.y - py)

@@ -77,7 +77,8 @@ def sample_episodes(grid, n, seed, largest_spec, ratio_min=DEFAULT_RATIO_MIN,
         raise GenerationError("map has fewer than 2 free non-inflated cells")
     rng = np.random.default_rng(seed)
     episodes = []
-    fields = {}
+    # goals rarely repeat: keep only the latest goal's field alive
+    field_cell = field = None
     rejects = {}
     attempts = 0
     while len(episodes) < n:
@@ -96,9 +97,9 @@ def sample_episodes(grid, n, seed, largest_spec, ratio_min=DEFAULT_RATIO_MIN,
         start = Pose(*grid.cell_center(ixs[si], iys[si]), heading)
         goal = grid.cell_center(ixs[gi], iys[gi])
         gcell = (int(ixs[gi]), int(iys[gi]))
-        if gcell not in fields:
-            fields[gcell] = distance_field(grid, goal, largest_spec.footprint_radius)
-        field = fields[gcell]
+        if gcell != field_cell:
+            field_cell = gcell
+            field = distance_field(grid, goal, largest_spec.footprint_radius)
         ok, reason = validate_episode(grid, start, goal, largest_spec, ratio_min,
                                       dist_field=field)
         if not ok:

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .world import CERT_EPS
 
@@ -22,8 +23,7 @@ def wrap_angle(theta):
     return t
 
 
-@dataclass(frozen=True)
-class Pose:
+class Pose(NamedTuple):
     """Planar robot state: world position plus heading in (-pi, pi]."""
 
     x: float
@@ -31,8 +31,7 @@ class Pose:
     theta: float
 
 
-@dataclass(frozen=True)
-class VelocityCommand:
+class VelocityCommand(NamedTuple):
     """Body-frame CoM velocity action: forward vx, lateral vy, angular w."""
 
     vx: float
@@ -41,14 +40,20 @@ class VelocityCommand:
 
 
 def clamp_command(cmd, spec):
-    """Clip each component to the robot's symmetric limit. Idempotent."""
-    if math.isnan(cmd.vx) or math.isnan(cmd.vy) or math.isnan(cmd.w):
+    """Clip each component to the robot's symmetric limit. Idempotent.
+
+    A command already within the limits is returned as it is.
+    """
+    vx, vy, w = cmd.vx, cmd.vy, cmd.w
+    if math.isnan(vx) or math.isnan(vy) or math.isnan(w):
         raise InvalidCommandError(f"command has NaN component: {cmd}")
     lin, ang = spec.lin_limit, spec.ang_limit
+    if -lin <= vx <= lin and -lin <= vy <= lin and -ang <= w <= ang:
+        return cmd
     return VelocityCommand(
-        min(max(cmd.vx, -lin), lin),
-        min(max(cmd.vy, -lin), lin),
-        min(max(cmd.w, -ang), ang),
+        min(max(vx, -lin), lin),
+        min(max(vy, -lin), lin),
+        min(max(w, -ang), ang),
     )
 
 

@@ -155,7 +155,11 @@ class OccupancyGrid:
         return self._checkers[key]
 
     def _neighbor_graph(self, robot_radius):
-        """Sparse 8-connected move graph over the inflated grid, cached per radius."""
+        """Sparse symmetric 8-connected move graph over the inflated grid, cached per radius.
+
+        Every move is listed in both directions, so a directed search over the
+        cached graph needs no per-goal symmetrisation.
+        """
         key = float(robot_radius)
         if key not in self._adjacency:
             ok = self.passable_mask(key)
@@ -180,7 +184,8 @@ class OccupancyGrid:
                 cols = np.concatenate(cols)
                 costs = np.concatenate(costs)
             graph = sparse.coo_matrix((costs, (rows, cols)), shape=(h * w, h * w)).tocsr()
-            self._adjacency[key] = graph
+            # each move above appears once, so the sum adds no two weights together
+            self._adjacency[key] = graph + graph.T
         return self._adjacency[key]
 
 
@@ -439,6 +444,10 @@ class DistanceField:
 
     Built by 8-connected Dijkstra; straight moves cost cell_size, diagonals
     sqrt(2)*cell_size. Unreachable and inflated cells hold +inf.
+
+    flat_values is a read-only row-major memoryview of values, so
+    flat_values[iy * width + ix] reads values[iy, ix] as a Python float
+    without a copy; the per-step queries read through it.
     """
 
     def __init__(self, grid, goal, robot_radius, values):
@@ -447,6 +456,7 @@ class DistanceField:
         self.robot_radius = float(robot_radius)
         values.setflags(write=False)
         self.values = values
+        self.flat_values = memoryview(values.reshape(-1))
         self.goal_cell = grid.world_to_cell(*self.goal)
         self._finite_tree = None
         self._finite_cells = None
@@ -460,21 +470,26 @@ class DistanceField:
         whole neighborhood is unreachable.
         """
         grid = self.grid
-        ix, iy = grid.world_to_cell(x, y)
-        vals = self.values
+        ox, oy = grid.origin
+        cs = grid.cell_size
+        w, h = grid.width, grid.height
+        # the expressions of grid.world_to_cell and grid.cell_center, inline
+        ix = int(math.floor((x - ox) / cs))
+        iy = int(math.floor((y - oy) / cs))
+        vals = self.flat_values
+        hypot = math.hypot
         best = math.inf
-        for dy in (-1, 0, 1):
-            ny = iy + dy
-            if ny < 0 or ny >= grid.height:
+        for ny in (iy - 1, iy, iy + 1):
+            if ny < 0 or ny >= h:
                 continue
-            for dx in (-1, 0, 1):
-                nx = ix + dx
-                if nx < 0 or nx >= grid.width:
+            dy = y - (oy + (ny + 0.5) * cs)
+            row = ny * w
+            for nx in (ix - 1, ix, ix + 1):
+                if nx < 0 or nx >= w:
                     continue
-                v = vals[ny, nx]
+                v = vals[row + nx]
                 if v < math.inf:
-                    cx, cy = grid.cell_center(nx, ny)
-                    d = v + math.hypot(x - cx, y - cy)
+                    d = v + hypot(x - (ox + (nx + 0.5) * cs), dy)
                     if d < best:
                         best = d
         if best < math.inf:
@@ -495,23 +510,25 @@ class DistanceField:
         return float(self._finite_cells[i] + d)
 
     def descent_neighbor(self, ix, iy):
-        """Lowest-valued 8-neighbor of a cell, or None if all are +inf."""
-        grid = self.grid
-        vals = self.values
+        """Lowest-valued 8-neighbor of a cell, or None if all are +inf.
+
+        Neighbors are scanned in increasing (ny, nx) order and only a strictly
+        lower value replaces the best, so ties go to the lowest (ny, nx).
+        """
+        w, h = self.grid.width, self.grid.height
+        vals = self.flat_values
         best = None
         best_v = math.inf
-        for dy in (-1, 0, 1):
-            for dx in (-1, 0, 1):
-                if dx == 0 and dy == 0:
-                    continue
-                nx, ny = ix + dx, iy + dy
-                if 0 <= nx < grid.width and 0 <= ny < grid.height:
-                    v = vals[ny, nx]
-                    if v < best_v or (v == best_v and best is not None and (ny, nx) < best[::-1]):
+        for ny in (iy - 1, iy, iy + 1):
+            if ny < 0 or ny >= h:
+                continue
+            row = ny * w
+            for nx in (ix - 1, ix, ix + 1):
+                if 0 <= nx < w and (nx != ix or ny != iy):
+                    v = vals[row + nx]
+                    if v < best_v:
                         best_v = v
                         best = (nx, ny)
-        if best_v == math.inf:
-            return None
         return best
 
     def descent_step(self, cell):
@@ -525,8 +542,9 @@ class DistanceField:
             nxt = None
             if cell != self.goal_cell:
                 nxt = self.descent_neighbor(*cell)
-                vals = self.values
-                if nxt is not None and vals[nxt[1], nxt[0]] >= vals[cell[1], cell[0]]:
+                vals = self.flat_values
+                w = self.grid.width
+                if nxt is not None and vals[nxt[1] * w + nxt[0]] >= vals[cell[1] * w + cell[0]]:
                     nxt = None
             self._next[cell] = nxt
         return nxt
@@ -554,7 +572,8 @@ def distance_field(grid, goal, robot_radius):
     if not passable[iy, ix]:
         raise InvalidGoalError(f"goal cell ({ix}, {iy}) is occupied or inflated")
     graph = grid._neighbor_graph(robot_radius)
-    dist = csgraph.dijkstra(graph, directed=False, indices=iy * grid.width + ix)
+    # the cached graph is symmetric: a directed search walks every move both ways
+    dist = csgraph.dijkstra(graph, directed=True, indices=iy * grid.width + ix)
     values = dist.reshape(grid.height, grid.width)
     return DistanceField(grid, goal, robot_radius, values)
 

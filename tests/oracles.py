@@ -6,13 +6,19 @@ earlier versions of package code, kept verbatim so that faster replacements
 can be checked against them for exact equality: dynlite_reference_step runs on
 the package's exact collision tests, descent_path_reference and
 oracle_target_reference on DistanceField.descent_neighbor, and
-cell_lists_reference builds a collision checker's per-cell tables.
+cell_lists_reference builds a collision checker's per-cell tables. The
+numpy-indexing versions of the distance-field reads (value_at_reference,
+descent_neighbor_reference, oracle_target_numpy_reference) and the one-way
+move graph searched undirected (distance_values_reference) check the
+memoryview reads and the symmetric graph.
 """
 
 import heapq
 import math
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse import csgraph
 
 from kinnav.agents import NoPathError
 from kinnav.motion import InconsistentStateError, Pose, VelocityCommand, wrap_angle
@@ -233,3 +239,145 @@ def cell_lists_reference(checker, reach, nearest_first=False):
                                          + max(r[1] - cy, cy - r[3], 0.0) ** 2))
             out[k] = tuple(cell)
     return out
+
+
+def value_at_reference(field, x, y):
+    """DistanceField.value_at as it was: numpy-scalar reads, grid coordinate helpers."""
+    grid = field.grid
+    ix, iy = grid.world_to_cell(x, y)
+    vals = field.values
+    best = math.inf
+    for dy in (-1, 0, 1):
+        ny = iy + dy
+        if ny < 0 or ny >= grid.height:
+            continue
+        for dx in (-1, 0, 1):
+            nx = ix + dx
+            if nx < 0 or nx >= grid.width:
+                continue
+            v = vals[ny, nx]
+            if v < math.inf:
+                cx, cy = grid.cell_center(nx, ny)
+                d = v + math.hypot(x - cx, y - cy)
+                if d < best:
+                    best = d
+    if best < math.inf:
+        return best
+    return field._fallback_value(x, y)
+
+
+def descent_neighbor_reference(field, ix, iy):
+    """DistanceField.descent_neighbor as it was: numpy-scalar reads and a tie clause."""
+    grid = field.grid
+    vals = field.values
+    best = None
+    best_v = math.inf
+    for dy in (-1, 0, 1):
+        for dx in (-1, 0, 1):
+            if dx == 0 and dy == 0:
+                continue
+            nx, ny = ix + dx, iy + dy
+            if 0 <= nx < grid.width and 0 <= ny < grid.height:
+                v = vals[ny, nx]
+                if v < best_v or (v == best_v and best is not None and (ny, nx) < best[::-1]):
+                    best_v = v
+                    best = (nx, ny)
+    if best_v == math.inf:
+        return None
+    return best
+
+
+def descent_step_reference(field, cell):
+    """DistanceField.descent_step as it was, on the numpy reads and without the memo."""
+    nxt = None
+    if cell != field.goal_cell:
+        nxt = descent_neighbor_reference(field, *cell)
+        vals = field.values
+        if nxt is not None and vals[nxt[1], nxt[0]] >= vals[cell[1], cell[0]]:
+            nxt = None
+    return nxt
+
+
+def oracle_target_numpy_reference(field, spec, dt, pose):
+    """OracleAgent._target as it was before the memoryview reads.
+
+    Verbatim but for the descent steps, which come from descent_step_reference.
+    """
+    grid = field.grid
+    ix, iy = grid.world_to_cell(pose.x, pose.y)
+    cx, cy = grid.cell_center(ix, iy)
+    budget = spec.lin_limit * dt
+    at_center = math.hypot(pose.x - cx, pose.y - cy) < 1e-9
+    if at_center and math.isfinite(field.values[iy, ix]):
+        def step(cell):
+            return descent_step_reference(field, cell)
+        cell = step((ix, iy))
+        if cell is None:
+            raise NoPathError(f"no descent from cell ({ix}, {iy})")
+        # merge colinear descent moves while they fit in one step
+        first = grid.cell_center(*cell)
+        fx, fy = first[0] - pose.x, first[1] - pose.y
+        target = first
+        cell = step(cell)
+        while cell is not None:
+            nx, ny = grid.cell_center(*cell)
+            tx, ty = nx - pose.x, ny - pose.y
+            d = math.hypot(tx, ty)
+            colinear = abs(fx * ty - fy * tx) < 1e-9 and (fx * tx + fy * ty) > 0
+            if not colinear or d > budget + 1e-12:
+                break
+            target = (nx, ny)
+            cell = step(cell)
+        return target
+    # off the lattice (or in an inflated cell): head for the best nearby center
+    best = None
+    best_d = math.inf
+    for dy in (-1, 0, 1):
+        for dx in (-1, 0, 1):
+            nx, ny = ix + dx, iy + dy
+            if 0 <= nx < grid.width and 0 <= ny < grid.height:
+                v = field.values[ny, nx]
+                if math.isfinite(v):
+                    px, py = grid.cell_center(nx, ny)
+                    step = math.hypot(pose.x - px, pose.y - py)
+                    d = v + step
+                    if d < best_d and step > 1e-9:
+                        best_d = d
+                        best = (px, py)
+    if best is None:
+        raise NoPathError(f"no reachable cell near ({pose.x}, {pose.y})")
+    return best
+
+
+def neighbor_graph_reference(grid, robot_radius):
+    """OccupancyGrid._neighbor_graph as it was: each move listed once, one way."""
+    key = float(robot_radius)
+    ok = grid.passable_mask(key)
+    h, w = ok.shape
+    idx = np.arange(h * w).reshape(h, w)
+    cs = grid.cell_size
+    rows, cols, costs = [], [], []
+    shifts = [(0, 1, cs), (1, 0, cs), (1, 1, SQRT2 * cs), (1, -1, SQRT2 * cs)]
+    for dy, dx, cost in shifts:
+        ys = slice(max(dy, 0), h + min(dy, 0))
+        xs = slice(max(dx, 0), w + min(dx, 0))
+        ys2 = slice(max(-dy, 0), h + min(-dy, 0))
+        xs2 = slice(max(-dx, 0), w + min(-dx, 0))
+        both = ok[ys, xs] & ok[ys2, xs2]
+        a = idx[ys, xs][both]
+        b = idx[ys2, xs2][both]
+        rows.append(a)
+        cols.append(b)
+        costs.append(np.full(len(a), cost))
+    if rows:
+        rows = np.concatenate(rows)
+        cols = np.concatenate(cols)
+        costs = np.concatenate(costs)
+    return sparse.coo_matrix((costs, (rows, cols)), shape=(h * w, h * w)).tocsr()
+
+
+def distance_values_reference(grid, graph, goal_cell):
+    """distance_field's values as they were: the one-way graph searched with directed=False."""
+    ix, iy = goal_cell
+    dist = csgraph.dijkstra(graph, directed=False, indices=iy * grid.width + ix)
+    return dist.reshape(grid.height, grid.width)

@@ -13,7 +13,7 @@ from kinnav.robots import SPOT, get_robot
 from kinnav.task import Episode, NavEnv, SensorConfig
 from kinnav.world import OccupancyGrid, distance_field
 
-from oracles import oracle_target_reference
+from oracles import oracle_target_numpy_reference, oracle_target_reference
 
 
 def open_grid(n=40, cs=0.25):
@@ -149,6 +149,37 @@ def test_oracle_targets_match_reference():
                         off_lattice += 1
                 obs, _, done, _ = env.step(agent.act(obs)[0])
     assert on_lattice >= 200 and off_lattice >= 200
+
+
+def target_or_error(target, *args):
+    try:
+        return target(*args)
+    except NoPathError as err:
+        return str(err)
+
+
+def test_oracle_targets_match_numpy_reads():
+    # every cell center (finite, inflated, walls) and jittered poses around
+    # each, for robots whose one-step reach spans one to five cells
+    rng = np.random.default_rng(8)
+    counts = {"target": 0, "no_path": 0}
+    for cell_size, corridor, robot in ((0.25, 3, "spot"), (0.5, 3, "a1"), (0.1, 9, "aliengo")):
+        spec = get_robot(robot)
+        grid = random_maze(41, 33, cell_size, seed=19, corridor=corridor)
+        ok = np.argwhere(grid.passable_mask(spec.footprint_radius))
+        for gy, gx in ok[rng.choice(len(ok), 2, replace=False)]:
+            field = distance_field(grid, grid.cell_center(gx, gy), spec.footprint_radius)
+            agent = OracleAgent(field, spec)
+            for iy in range(grid.height):
+                for ix in range(grid.width):
+                    cx, cy = grid.cell_center(ix, iy)
+                    dx, dy = rng.uniform(-0.5 * cell_size, 0.5 * cell_size, 2).tolist()
+                    for pose in (Pose(cx, cy, 0.0), Pose(cx + dx, cy + dy, 0.0)):
+                        got = target_or_error(agent._target, pose)
+                        assert got == target_or_error(oracle_target_numpy_reference,
+                                                      field, spec, 1.0, pose), pose
+                        counts["no_path" if isinstance(got, str) else "target"] += 1
+    assert counts["target"] > 10000 and counts["no_path"] > 2000
 
 
 def test_random_agent_within_limits_and_deterministic():

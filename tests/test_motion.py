@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from kinnav.agents import AgentAction
 from kinnav.motion import (PROFILES, DynamicLiteConfig, InconsistentStateError,
                            InvalidCommandError, Pose, VelocityCommand,
                            clamp_command, dynamic_lite_step, kinematic_step,
@@ -52,6 +53,33 @@ def test_clamp_idempotent_random():
 def test_clamp_nan_rejected():
     with pytest.raises(InvalidCommandError):
         clamp_command(VelocityCommand(float("nan"), 0.0, 0.0), SPOT)
+
+
+def test_value_types_keep_fields_defaults_and_repr():
+    assert repr(Pose(1.0, -2.5, 0.25)) == "Pose(x=1.0, y=-2.5, theta=0.25)"
+    cmd = VelocityCommand(0.1, 0.0, -0.2)
+    assert repr(cmd) == "VelocityCommand(vx=0.1, vy=0.0, w=-0.2)"
+    assert repr(AgentAction(cmd)) == ("AgentAction(cmd=VelocityCommand(vx=0.1, vy=0.0, w=-0.2), "
+                                      "stop=False)")
+    with pytest.raises(AttributeError):
+        cmd.vx = 0.3
+
+
+def test_clamp_returns_in_range_command_itself():
+    lin, ang = SPOT.lin_limit, SPOT.ang_limit
+    rng = np.random.default_rng(1)
+    inside = [VelocityCommand(*v) for v in rng.uniform(-1, 1, (200, 3)) * (lin, lin, ang)]
+    inside += [VelocityCommand(lin, -lin, ang), VelocityCommand(-lin, lin, -ang),
+               VelocityCommand(-0.0, 0.0, -0.0)]
+    for c in inside:
+        assert clamp_command(c, SPOT) is c
+    c = VelocityCommand(lin, 0.0, math.nextafter(ang, math.inf))
+    assert clamp_command(c, SPOT) == VelocityCommand(lin, 0.0, ang)
+    for k in range(3):
+        v = [0.0, 0.0, 0.0]
+        v[k] = float("nan")
+        with pytest.raises(InvalidCommandError):
+            clamp_command(VelocityCommand(*v), SPOT)
 
 
 # -- kinematic backend -----------------------------------------------------

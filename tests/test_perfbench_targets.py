@@ -3,6 +3,12 @@
 import importlib.util
 import os
 
+from kinnav.episodes import sample_episodes, write_dataset
+from kinnav.harness import EvalConfig, run_batch
+from kinnav.maps import random_maze
+from kinnav.robots import SPOT
+from kinnav.world import save_world
+
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 
 
@@ -20,3 +26,26 @@ def test_every_trace_target_exists():
                for owner, attr, *_ in load_tracing()._targets()
                if vars(owner).get(attr) is None]
     assert missing == []
+
+
+def test_oracle_episodes_reach_every_hot_span(tmp_path):
+    # each layer of an oracle step keeps its own span: code inlined across a
+    # traced call would move that layer's time into its caller's self time
+    grid = random_maze(33, 33, 0.25, seed=30)
+    map_path = str(tmp_path / "maze.map")
+    with open(map_path, "w") as f:
+        f.write(save_world(grid))
+    ds_path = str(tmp_path / "episodes.jsonl")
+    write_dataset(sample_episodes(grid, 1, seed=3, largest_spec=SPOT), ds_path)
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        for backend in ("kinematic", "dynlite-b"):
+            run_batch(EvalConfig(map_path, ds_path, backend=backend, seeds=(0,)))
+    finally:
+        tracer.uninstall()
+    stats, _ = tracer.take()
+    assert tracer.missing == []
+    for name in ("task.step", "agents.act", "world.value_at", "world.distance_field",
+                 "motion.kinematic_step", "motion.dynamic_lite_step"):
+        assert stats[name][0] > 0, name

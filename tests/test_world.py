@@ -1,16 +1,19 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from kinnav.maps import random_maze, random_obstacles
+from kinnav.robots import A1, ALIENGO, SPOT
 from kinnav.task import PROXIMITY_MARGIN
-from kinnav.world import (CERT_EPS, InvalidGoalError, MapError, OccupancyGrid,
-                          OutOfBoundsError, distance_field, load_world,
+from kinnav.world import (CERT_EPS, DistanceField, InvalidGoalError, MapError,
+                          OccupancyGrid, OutOfBoundsError, distance_field, load_world,
                           raycast, save_world)
 
-from oracles import (cell_lists_reference, clearance_oracle, descent_path_reference,
-                     dijkstra_oracle, raymarch_oracle)
+from oracles import (cell_lists_reference, clearance_oracle, descent_neighbor_reference,
+                     descent_path_reference, dijkstra_oracle, distance_values_reference,
+                     neighbor_graph_reference, raymarch_oracle, value_at_reference)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -232,6 +235,101 @@ def test_descent_path_matches_reference():
                     assert f.descent_path(ix, iy) == descent_path_reference(f, ix, iy), (ix, iy)
             finite += int(np.isfinite(f.values).sum())
     assert finite > 4000
+
+
+def test_descent_neighbor_ties_go_to_lowest_row_then_column():
+    grid = empty_grid(4)
+    values = np.full((4, 4), 5.0)
+    # three neighbors of cell (1, 1) tie at the lowest value
+    values[0, 2] = values[2, 0] = values[1, 0] = 1.0
+    f = DistanceField(grid, (1.5, 1.5), 0.0, values)
+    assert f.descent_neighbor(1, 1) == (2, 0)
+    values = np.full((4, 4), 5.0)
+    values[2, 2] = values[2, 1] = values[1, 2] = 1.0
+    f = DistanceField(grid, (1.5, 1.5), 0.0, values)
+    assert f.descent_neighbor(1, 1) == (2, 1)
+    f = DistanceField(grid, (1.5, 1.5), 0.0, np.full((4, 4), math.inf))
+    assert f.descent_neighbor(1, 1) is None
+
+
+def reference_fields():
+    """(grid, field) on non-square mazes and an obstacle map, a few goals on each."""
+    out = []
+    for grid, radius in ((random_maze(41, 25, 0.25, seed=11), 0.3),
+                         (random_maze(21, 29, 0.5, seed=12), 0.25),
+                         (random_obstacles(36, 24, 0.1, seed=13, density=0.03), 0.2)):
+        ok = np.argwhere(grid.passable_mask(radius))
+        rng = np.random.default_rng(len(ok))
+        for gy, gx in ok[rng.choice(len(ok), 4, replace=False)]:
+            out.append((grid, distance_field(grid, grid.cell_center(gx, gy), radius)))
+    return out
+
+
+def test_value_at_and_descent_neighbor_match_numpy_reads():
+    # lattice, off-lattice and border points; points whose whole 3x3
+    # neighborhood is +inf take the fallback on both paths
+    rng = np.random.default_rng(3)
+    lattice = off = border = all_inf = 0
+    for grid, f in reference_fields():
+        x0, y0, x1, y1 = grid.extent
+        cs = grid.cell_size
+        points = [grid.cell_center(ix, iy) for iy in range(grid.height) for ix in range(grid.width)]
+        lattice += len(points)
+        jitter = rng.uniform(-0.5 * cs, 0.5 * cs, size=(len(points), 2))
+        points += [(x + dx, y + dy) for (x, y), (dx, dy) in zip(points, jitter.tolist())]
+        off += len(jitter)
+        edge = np.linspace(0.0, 1.0, 41).tolist()
+        ring = ([(x0 + t * (x1 - x0), y0) for t in edge] + [(x0 + t * (x1 - x0), y1) for t in edge]
+                + [(x0, y0 + t * (y1 - y0)) for t in edge] + [(x1, y0 + t * (y1 - y0)) for t in edge])
+        points += ring
+        border += len(ring)
+        for x, y in points:
+            got, want = f.value_at(x, y), value_at_reference(f, x, y)
+            assert got == want and type(got) is float, (x, y)
+            ix, iy = grid.world_to_cell(x, y)
+            window = f.values[max(iy - 1, 0):iy + 2, max(ix - 1, 0):ix + 2]
+            all_inf += int(not np.isfinite(window).any())
+        for iy in range(grid.height):
+            for ix in range(grid.width):
+                assert f.descent_neighbor(ix, iy) == descent_neighbor_reference(f, ix, iy)
+    assert lattice > 3000 and off > 3000 and border > 500 and all_inf > 500
+
+
+@pytest.mark.parametrize("cell_size", [0.1, 0.15, 0.25, 0.5])
+def test_symmetric_graph_matches_one_way_undirected_search(cell_size):
+    # mazes wide enough for Spot, obstacle fields sparse enough to keep free cells
+    corridor = max(3, math.ceil(0.75 / cell_size))
+    size = 4 * (corridor + 1) + 1
+    maps = [random_maze(size, size, cell_size, seed=21, corridor=corridor),
+            random_obstacles(size, size, cell_size, seed=22, density=0.04 * cell_size / 0.1)]
+    for grid in maps:
+        for spec in (A1, ALIENGO, SPOT):
+            radius = spec.footprint_radius
+            ok = np.argwhere(grid.passable_mask(radius))
+            graph = neighbor_graph_reference(grid, radius)
+            rng = np.random.default_rng(len(ok))
+            for gy, gx in ok[rng.choice(len(ok), 6, replace=False)]:
+                f = distance_field(grid, grid.cell_center(gx, gy), radius)
+                want = distance_values_reference(grid, graph, (gx, gy))
+                assert f.values.tobytes() == want.tobytes()
+
+
+def test_fields_share_their_values_buffer():
+    # 50 live fields cost their values arrays and little else: a per-field
+    # copy of the values (a list of rows, a contiguous duplicate) fails this
+    grid = random_maze(64, 64, 0.25, seed=77)
+    ok = np.argwhere(grid.passable_mask(SPOT.footprint_radius))
+    goals = [grid.cell_center(gx, gy) for gy, gx in ok[::len(ok) // 50][:50]]
+    distance_field(grid, goals[0], SPOT.footprint_radius)   # caches the graph
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fields = [distance_field(grid, g, SPOT.footprint_radius) for g in goals]
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(fields) == 50
+    assert grown <= 1.1 * sum(f.values.nbytes for f in fields)
 
 
 # -- clearance -------------------------------------------------------------
