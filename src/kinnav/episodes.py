@@ -36,12 +36,17 @@ def validate_episode(grid, start, goal, largest_spec, ratio_min=DEFAULT_RATIO_MI
                      dist_field=None):
     """Accept/reject a (start, goal) pair. Returns (accepted, reason).
 
-    Rules: geodesic distance in [1, 30] m, geodesic/euclidean ratio at least
-    ratio_min (rejects near-straight paths), and the descent path clear under
-    the largest robot's footprint.
+    Rules: geodesic distance in [1, 30] m and geodesic/euclidean ratio at
+    least ratio_min (rejects near-straight paths). The field is built over the
+    grid inflated by the largest robot's footprint, so a finite start value
+    already means a descent path on which that footprint stays clear. A given
+    dist_field must therefore be for that footprint radius (ValueError if not).
     """
     if dist_field is None:
         dist_field = distance_field(grid, goal, largest_spec.footprint_radius)
+    elif dist_field.robot_radius != float(largest_spec.footprint_radius):
+        raise ValueError(f"dist_field built for radius {dist_field.robot_radius}, "
+                         f"not the footprint radius {largest_spec.footprint_radius}")
     sx, sy = (start.x, start.y) if isinstance(start, Pose) else (start[0], start[1])
     six, siy = grid.world_to_cell(sx, sy)
     d_geo = dist_field.values[siy, six]
@@ -54,11 +59,6 @@ def validate_episode(grid, start, goal, largest_spec, ratio_min=DEFAULT_RATIO_MI
     d_euclid = math.hypot(goal[0] - sx, goal[1] - sy)
     if d_euclid <= 0 or d_geo / d_euclid < ratio_min:
         return False, "near_straight"
-    # inflation already guarantees this; re-verify the descent path explicitly
-    clear = grid.center_clearance()
-    for ix, iy in dist_field.descent_path(six, siy):
-        if clear[iy, ix] < largest_spec.footprint_radius:
-            return False, "blocked_path"
     return True, ""
 
 

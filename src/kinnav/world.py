@@ -6,7 +6,6 @@ import math
 import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
-from scipy.spatial import cKDTree
 
 SQRT2 = math.sqrt(2.0)
 
@@ -51,9 +50,18 @@ class OccupancyGrid:
         iys, ixs = np.nonzero(cells)
         self._occ_x0 = ox + ixs * cs
         self._occ_y0 = oy + iys * cs
-        centers = np.column_stack([self._occ_x0 + 0.5 * cs, self._occ_y0 + 0.5 * cs])
-        self._tree = cKDTree(centers) if len(centers) else None
-        self._half_diag = 0.5 * SQRT2 * cs
+        # occupancy rows as lists of Python bools, read by the ring scans
+        self._rows = cells.tolist()
+        # per cell, the first ring of cells around it that holds an occupied cell
+        # (its Chebyshev distance in cells to one; cells.size where there is none)
+        ring = np.full(cells.shape, 0 if cells.any() else cells.size)
+        reach = cells
+        while reach.any() and not reach.all():
+            ring += ~reach
+            grown = np.pad(reach, 1)
+            grown = grown[:-2] | grown[1:-1] | grown[2:]
+            reach = grown[:, :-2] | grown[:, 1:-1] | grown[:, 2:]
+        self._first_ring = ring.tolist()
         self._center_clearance = None
         self._checkers = {}
         self._adjacency = {}
@@ -87,22 +95,42 @@ class OccupancyGrid:
 
     # -- clearance --------------------------------------------------------
 
-    def _edge_distance(self, x, y):
-        x0, y0, x1, y1 = self.extent
-        return min(x - x0, x1 - x, y - y0, y1 - y)
+    def _clearance_at(self, x, y, ix, iy):
+        """clearance(x, y) for a point of cell (ix, iy), by rings of cells around that cell.
 
-    def _rect_distance_min(self, x, y, idxs):
+        The scan starts at the first ring that holds an occupied cell. Every
+        cell k rings out lies at least (k - 1) * cell_size from the point, so
+        the scan ends at the first ring whose bound exceeds the best distance
+        so far by CERT_EPS, far above the rounding of either.
+        """
+        ox, oy = self.origin
         cs = self.cell_size
-        best = math.inf
-        for i in idxs:
-            rx0 = self._occ_x0[i]
-            ry0 = self._occ_y0[i]
-            dx = rx0 - x if x < rx0 else (x - rx0 - cs if x > rx0 + cs else 0.0)
-            dy = ry0 - y if y < ry0 else (y - ry0 - cs if y > ry0 + cs else 0.0)
-            d = math.hypot(dx, dy)
-            if d < best:
-                best = d
-        return best
+        w, h = self.width, self.height
+        best = min(x - ox, ox + w * cs - x, y - oy, oy + h * cs - y)
+        rows = self._rows
+        k = self._first_ring[iy][ix] if ix < w and iy < h else 0
+        while (k - 1) * cs <= best + CERT_EPS:
+            lo, hi = max(ix - k, 0), min(ix + k + 1, w)
+            for jy in range(max(iy - k, 0), min(iy + k + 1, h)):
+                occ = rows[jy]
+                # the ring's top and bottom rows in full, its two side cells in between
+                if jy == iy - k or jy == iy + k:
+                    if True not in occ[lo:hi]:
+                        continue
+                    cols = range(lo, hi)
+                else:
+                    cols = (ix - k, ix + k)
+                ry0 = oy + jy * cs
+                dy = ry0 - y if y < ry0 else (y - ry0 - cs if y > ry0 + cs else 0.0)
+                for jx in cols:
+                    if 0 <= jx < w and occ[jx]:
+                        rx0 = ox + jx * cs
+                        dx = rx0 - x if x < rx0 else (x - rx0 - cs if x > rx0 + cs else 0.0)
+                        d = math.hypot(dx, dy)
+                        if d < best:
+                            best = d
+            k += 1
+        return max(best, 0.0)
 
     def clearance(self, x, y):
         """Euclidean distance from (x, y) to the nearest occupied-cell boundary.
@@ -111,35 +139,15 @@ class OccupancyGrid:
         """
         if not self.in_bounds(x, y):
             raise OutOfBoundsError(f"point ({x}, {y}) outside grid")
-        best = self._edge_distance(x, y)
-        if self._tree is not None:
-            d0, _ = self._tree.query((x, y))
-            # nearest rect can only belong to a center within d0 + half-diagonal
-            idxs = self._tree.query_ball_point((x, y), min(d0, best) + self._half_diag)
-            best = min(best, self._rect_distance_min(x, y, idxs))
-        return max(best, 0.0)
+        return self._clearance_at(x, y, *self.world_to_cell(x, y))
 
     def center_clearance(self):
-        """Exact clearance at every cell center, shape (height, width)."""
+        """Exact clearance at every cell center, shape (height, width); 0 on occupied cells."""
         if self._center_clearance is None:
-            cs = self.cell_size
-            ox, oy = self.origin
-            xs = ox + (np.arange(self.width) + 0.5) * cs
-            ys = oy + (np.arange(self.height) + 0.5) * cs
-            gx, gy = np.meshgrid(xs, ys)
-            x0, y0, x1, y1 = self.extent
-            edge = np.minimum.reduce([gx - x0, x1 - gx, gy - y0, y1 - gy])
-            out = edge
-            if self._tree is not None:
-                pts = np.column_stack([gx.ravel(), gy.ravel()])
-                d0, _ = self._tree.query(pts)
-                radii = np.minimum(d0, edge.ravel()) + self._half_diag
-                cand = self._tree.query_ball_point(pts, radii)
-                exact = np.empty(len(pts))
-                for k, idxs in enumerate(cand):
-                    exact[k] = self._rect_distance_min(pts[k, 0], pts[k, 1], idxs)
-                out = np.minimum(edge, exact.reshape(self.height, self.width))
-            out = np.maximum(out, 0.0)
+            iys, ixs = np.nonzero(~self.cells)
+            out = np.zeros((self.height, self.width))
+            out[iys, ixs] = [self._clearance_at(*self.cell_center(ix, iy), ix, iy)
+                             for ix, iy in zip(ixs.tolist(), iys.tolist())]
             out.setflags(write=False)
             self._center_clearance = out
         return self._center_clearance
@@ -195,7 +203,9 @@ class _CollisionChecker:
     Each occupied cell is one rectangle, a tuple of Python floats
     (x0, y0, x1, y1) shared by every cell list that holds it. For every cell
     the checker lists the rectangles a disc centered anywhere in that cell
-    could touch, nearest first; most lists are empty. blocked() reads only the
+    could touch, nearest first; most lists are empty. Cell and rectangle
+    centers share the grid lattice, so the lists come from a fixed stencil of
+    cell offsets rather than a spatial index. blocked() reads only the
     list of the query point's cell. nearest() reads a second, wider list per
     cell, built on first use, that holds every rectangle within radius + cap
     of any point of the cell; near() answers the proximity test
@@ -246,41 +256,47 @@ class _CollisionChecker:
     def _cell_lists(self, reach, nearest_first=False):
         """Per cell, the rects whose center lies within reach of the cell center.
 
-        Lists hold rects in index order, or nearest to the cell center first
-        with ties in index order. Queried one grid row at a time.
+        Rect and cell centers share one lattice, so a fixed stencil of cell
+        offsets, those at most reach away, picks every cell's rects. Lists hold
+        rects in index order, or nearest to the cell center first with ties in
+        index order. Built one grid row at a time.
         """
         grid = self.grid
-        w = self._w
-        out = [()] * (w * self._h)
-        if grid._tree is None:
+        w, h = self._w, self._h
+        out = [()] * (w * h)
+        if not self._rects:
             return out
         cs = self._cs
-        ox, oy = grid.origin
-        xs = ox + (np.arange(w) + 0.5) * cs
-        ys = oy + (np.arange(self._h) + 0.5) * cs
+        n = int(reach / cs)
+        # offsets in row-major order, so each cell's rect indices come out ascending
+        offs = [(dy, dx) for dy in range(-n, n + 1) for dx in range(-n, n + 1)
+                if (dx * dx + dy * dy) * cs * cs <= reach * reach]
+        # rect index per cell, -1 where free, with n free cells of padding all round
+        pw = w + 2 * n
+        ids = np.where(grid.cells, np.cumsum(grid.cells).reshape(h, w) - 1, -1)
+        ids = np.pad(ids, n, constant_values=-1).ravel()
+        stencil = np.arange(w)[:, None] + np.array([(n + dy) * pw + n + dx for dy, dx in offs])
+        xs, ys = grid.cell_center(np.arange(w), np.arange(h))
         occ_x0, occ_y0 = grid._occ_x0, grid._occ_y0
         rects = self._rects
         for iy, cy in enumerate(ys):
-            # a multi-point query lists each point's indices in ascending order
-            hits = grid._tree.query_ball_point(np.column_stack([xs, np.full(w, cy)]), reach)
+            hits = ids[iy * pw + stencil]
+            found = hits >= 0
+            counts = found.sum(axis=1).tolist()
+            idx = hits[found]
             if nearest_first:
-                counts = [len(h) for h in hits]
-                total = sum(counts)
-                if not total:
-                    continue
-                idx = np.fromiter(itertools.chain.from_iterable(hits), np.intp, total)
                 cell = np.repeat(np.arange(w), counts)
                 cx = xs[cell]
                 rx0, ry0 = occ_x0[idx], occ_y0[idx]
                 dx = np.maximum(np.maximum(rx0 - cx, cx - (rx0 + cs)), 0.0)
                 dy = np.maximum(np.maximum(ry0 - cy, cy - (ry0 + cs)), 0.0)
                 # by cell, then by distance; the sort is stable, so ties keep index order
-                idx = idx[np.lexsort((dx * dx + dy * dy, cell))].tolist()
-                hits = [idx[end - n:end] for n, end in zip(counts, itertools.accumulate(counts))]
+                idx = idx[np.lexsort((dx * dx + dy * dy, cell))]
+            idx = idx.tolist()
             row = iy * w
-            for ix, h in enumerate(hits):
-                if h:
-                    out[row + ix] = tuple([rects[i] for i in h])
+            for ix, (c, end) in enumerate(zip(counts, itertools.accumulate(counts))):
+                if c:
+                    out[row + ix] = tuple([rects[i] for i in idx[end - c:end]])
         return out
 
     def blocked(self, x, y):
@@ -447,7 +463,9 @@ class DistanceField:
 
     flat_values is a read-only row-major memoryview of values, so
     flat_values[iy * width + ix] reads values[iy, ix] as a Python float
-    without a copy; the per-step queries read through it.
+    without a copy; the per-step queries read through it. A point whose
+    whole 3x3 neighborhood is +inf falls back on the nearest finite cell
+    center, found by an argmin over those centers.
     """
 
     def __init__(self, grid, goal, robot_radius, values):
@@ -458,8 +476,7 @@ class DistanceField:
         self.values = values
         self.flat_values = memoryview(values.reshape(-1))
         self.goal_cell = grid.world_to_cell(*self.goal)
-        self._finite_tree = None
-        self._finite_cells = None
+        self._finite = None
         self._next = {}
 
     def value_at(self, x, y):
@@ -497,17 +514,20 @@ class DistanceField:
         return self._fallback_value(x, y)
 
     def _fallback_value(self, x, y):
-        if self._finite_tree is None:
+        """Value plus distance of the finite cell whose center is nearest (x, y).
+
+        On exact distance ties the lowest row-major cell wins. +inf when no
+        cell is finite.
+        """
+        if self._finite is None:
             iys, ixs = np.nonzero(np.isfinite(self.values))
-            if len(ixs) == 0:
-                return math.inf
-            cs = self.grid.cell_size
-            ox, oy = self.grid.origin
-            pts = np.column_stack([ox + (ixs + 0.5) * cs, oy + (iys + 0.5) * cs])
-            self._finite_tree = cKDTree(pts)
-            self._finite_cells = self.values[iys, ixs]
-        d, i = self._finite_tree.query((x, y))
-        return float(self._finite_cells[i] + d)
+            self._finite = (*self.grid.cell_center(ixs, iys), self.values[iys, ixs])
+        px, py, vals = self._finite
+        if not len(vals):
+            return math.inf
+        d2 = (px - x) ** 2 + (py - y) ** 2
+        i = np.argmin(d2)
+        return float(vals[i] + math.sqrt(d2[i]))
 
     def descent_neighbor(self, ix, iy):
         """Lowest-valued 8-neighbor of a cell, or None if all are +inf.

@@ -10,18 +10,24 @@ cell_lists_reference builds a collision checker's per-cell tables. The
 numpy-indexing versions of the distance-field reads (value_at_reference,
 descent_neighbor_reference, oracle_target_numpy_reference) and the one-way
 move graph searched undirected (distance_values_reference) check the
-memoryview reads and the symmetric graph.
+memoryview reads and the symmetric graph. KDGridReference and
+KDFieldReference answer clearance, center_clearance and the distance field's
+far-from-reach fallback from KD-trees, as the package did before it answered
+them from the cell lattice alone.
 """
 
 import heapq
+import itertools
 import math
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
+from scipy.spatial import cKDTree
 
 from kinnav.agents import NoPathError
 from kinnav.motion import InconsistentStateError, Pose, VelocityCommand, wrap_angle
+from kinnav.world import OutOfBoundsError
 
 SQRT2 = math.sqrt(2.0)
 
@@ -218,27 +224,131 @@ def oracle_target_reference(field, spec, dt, pose):
 
 
 def cell_lists_reference(checker, reach, nearest_first=False):
-    """_CollisionChecker._cell_lists as it was: one query, a key function per cell."""
+    """_CollisionChecker._cell_lists as it was: one KD query per grid row, then a lexsort."""
     grid = checker.grid
-    out = [()] * (checker._w * checker._h)
-    if grid._tree is None:
+    w = checker._w
+    out = [()] * (w * checker._h)
+    tree = KDGridReference(grid)._tree
+    if tree is None:
         return out
     cs = checker._cs
     ox, oy = grid.origin
-    xs = ox + (np.arange(checker._w) + 0.5) * cs
+    xs = ox + (np.arange(w) + 0.5) * cs
     ys = oy + (np.arange(checker._h) + 0.5) * cs
-    gx, gy = np.meshgrid(xs, ys)
-    pts = np.column_stack([gx.ravel(), gy.ravel()])
+    occ_x0, occ_y0 = grid._occ_x0, grid._occ_y0
     rects = checker._rects
-    for k, idxs in enumerate(grid._tree.query_ball_point(pts, reach)):
-        if idxs:
-            cell = [rects[i] for i in idxs]
-            if nearest_first:
-                cx, cy = pts[k].tolist()
-                cell.sort(key=lambda r: (max(r[0] - cx, cx - r[2], 0.0) ** 2
-                                         + max(r[1] - cy, cy - r[3], 0.0) ** 2))
-            out[k] = tuple(cell)
+    for iy, cy in enumerate(ys):
+        # a multi-point query lists each point's indices in ascending order
+        hits = tree.query_ball_point(np.column_stack([xs, np.full(w, cy)]), reach)
+        if nearest_first:
+            counts = [len(h) for h in hits]
+            total = sum(counts)
+            if not total:
+                continue
+            idx = np.fromiter(itertools.chain.from_iterable(hits), np.intp, total)
+            cell = np.repeat(np.arange(w), counts)
+            cx = xs[cell]
+            rx0, ry0 = occ_x0[idx], occ_y0[idx]
+            dx = np.maximum(np.maximum(rx0 - cx, cx - (rx0 + cs)), 0.0)
+            dy = np.maximum(np.maximum(ry0 - cy, cy - (ry0 + cs)), 0.0)
+            # by cell, then by distance; the sort is stable, so ties keep index order
+            idx = idx[np.lexsort((dx * dx + dy * dy, cell))].tolist()
+            hits = [idx[end - n:end] for n, end in zip(counts, itertools.accumulate(counts))]
+        row = iy * w
+        for ix, h in enumerate(hits):
+            if h:
+                out[row + ix] = tuple([rects[i] for i in h])
     return out
+
+
+class KDGridReference:
+    """OccupancyGrid's clearance queries as they were, from a KD-tree over occupied-cell centers.
+
+    The tree, the candidate radius and the methods are kept verbatim.
+    """
+
+    def __init__(self, grid):
+        self.grid = grid
+        cs = grid.cell_size
+        ox, oy = grid.origin
+        iys, ixs = np.nonzero(grid.cells)
+        self._occ_x0 = ox + ixs * cs
+        self._occ_y0 = oy + iys * cs
+        centers = np.column_stack([self._occ_x0 + 0.5 * cs, self._occ_y0 + 0.5 * cs])
+        self._tree = cKDTree(centers) if len(centers) else None
+        self._half_diag = 0.5 * SQRT2 * cs
+
+    def _edge_distance(self, x, y):
+        x0, y0, x1, y1 = self.grid.extent
+        return min(x - x0, x1 - x, y - y0, y1 - y)
+
+    def _rect_distance_min(self, x, y, idxs):
+        cs = self.grid.cell_size
+        best = math.inf
+        for i in idxs:
+            rx0 = self._occ_x0[i]
+            ry0 = self._occ_y0[i]
+            dx = rx0 - x if x < rx0 else (x - rx0 - cs if x > rx0 + cs else 0.0)
+            dy = ry0 - y if y < ry0 else (y - ry0 - cs if y > ry0 + cs else 0.0)
+            d = math.hypot(dx, dy)
+            if d < best:
+                best = d
+        return best
+
+    def clearance(self, x, y):
+        if not self.grid.in_bounds(x, y):
+            raise OutOfBoundsError(f"point ({x}, {y}) outside grid")
+        best = self._edge_distance(x, y)
+        if self._tree is not None:
+            d0, _ = self._tree.query((x, y))
+            # nearest rect can only belong to a center within d0 + half-diagonal
+            idxs = self._tree.query_ball_point((x, y), min(d0, best) + self._half_diag)
+            best = min(best, self._rect_distance_min(x, y, idxs))
+        return max(best, 0.0)
+
+    def center_clearance(self):
+        grid = self.grid
+        cs = grid.cell_size
+        ox, oy = grid.origin
+        xs = ox + (np.arange(grid.width) + 0.5) * cs
+        ys = oy + (np.arange(grid.height) + 0.5) * cs
+        gx, gy = np.meshgrid(xs, ys)
+        x0, y0, x1, y1 = grid.extent
+        edge = np.minimum.reduce([gx - x0, x1 - gx, gy - y0, y1 - gy])
+        out = edge
+        if self._tree is not None:
+            pts = np.column_stack([gx.ravel(), gy.ravel()])
+            d0, _ = self._tree.query(pts)
+            radii = np.minimum(d0, edge.ravel()) + self._half_diag
+            cand = self._tree.query_ball_point(pts, radii)
+            exact = np.empty(len(pts))
+            for k, idxs in enumerate(cand):
+                exact[k] = self._rect_distance_min(pts[k, 0], pts[k, 1], idxs)
+            out = np.minimum(edge, exact.reshape(grid.height, grid.width))
+        return np.maximum(out, 0.0)
+
+
+class KDFieldReference:
+    """DistanceField._fallback_value as it was, from a KD-tree over finite-cell centers."""
+
+    def __init__(self, field):
+        self.values = field.values
+        self.grid = field.grid
+        self._finite_tree = None
+        self._finite_cells = None
+
+    def _fallback_value(self, x, y):
+        if self._finite_tree is None:
+            iys, ixs = np.nonzero(np.isfinite(self.values))
+            if len(ixs) == 0:
+                return math.inf
+            cs = self.grid.cell_size
+            ox, oy = self.grid.origin
+            pts = np.column_stack([ox + (ixs + 0.5) * cs, oy + (iys + 0.5) * cs])
+            self._finite_tree = cKDTree(pts)
+            self._finite_cells = self.values[iys, ixs]
+        d, i = self._finite_tree.query((x, y))
+        return float(self._finite_cells[i] + d)
 
 
 def value_at_reference(field, x, y):

@@ -41,6 +41,14 @@ def test_reject_unreachable():
     assert not ok and reason == "unreachable"
 
 
+def test_validate_rejects_field_of_another_radius():
+    grid = load_world(open_doc(12))
+    goal = (8.5, 2.5)
+    field = distance_field(grid, goal, 0.5 * SPOT.footprint_radius)
+    with pytest.raises(ValueError, match="footprint radius"):
+        validate_episode(grid, Pose(2.5, 8.5, 0.0), goal, SPOT, dist_field=field)
+
+
 def test_accept_detour_with_oracle_distance():
     # wall with a single gap forces a detour: geodesic well above euclidean
     rows = []

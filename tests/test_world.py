@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import kinnav
 from kinnav.maps import random_maze, random_obstacles
 from kinnav.robots import A1, ALIENGO, SPOT
 from kinnav.task import PROXIMITY_MARGIN
@@ -11,9 +15,10 @@ from kinnav.world import (CERT_EPS, DistanceField, InvalidGoalError, MapError,
                           OccupancyGrid, OutOfBoundsError, distance_field, load_world,
                           raycast, save_world)
 
-from oracles import (cell_lists_reference, clearance_oracle, descent_neighbor_reference,
-                     descent_path_reference, dijkstra_oracle, distance_values_reference,
-                     neighbor_graph_reference, raymarch_oracle, value_at_reference)
+from oracles import (KDFieldReference, KDGridReference, cell_lists_reference, clearance_oracle,
+                     descent_neighbor_reference, descent_path_reference, dijkstra_oracle,
+                     distance_values_reference, neighbor_graph_reference, raymarch_oracle,
+                     value_at_reference)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -375,11 +380,10 @@ def test_center_clearance_matches_pointwise():
     for iy in range(grid.height):
         for ix in range(grid.width):
             cx, cy = grid.cell_center(ix, iy)
-            assert table[iy, ix] == pytest.approx(grid.clearance(cx, cy), abs=1e-9)
+            assert table[iy, ix] == grid.clearance(cx, cy)
 
 
-
-# -- collision checker -----------------------------------------------------
+# -- lattice queries vs the KD-tree versions -------------------------------
 
 
 def checker_grids():
@@ -390,16 +394,89 @@ def checker_grids():
     yield OccupancyGrid(np.ones((4, 4), dtype=bool), 1.0)
 
 
+def geometry_grids():
+    """Cells of 0.1 to 1 m, offset origins, an empty and a full grid."""
+    yield random_maze(64, 64, 0.25, seed=77)
+    yield random_maze(33, 33, 0.5, seed=3)
+    yield random_obstacles(60, 60, 0.1, seed=5, density=0.1)
+    yield random_obstacles(40, 30, 0.15, seed=11, density=0.15)
+    yield OccupancyGrid(np.random.default_rng(4).random((12, 9)) < 0.3, 1.0, (0.37, -5.1))
+    yield OccupancyGrid(np.random.default_rng(5).random((25, 21)) < 0.2, 0.1, (3.3, 1.1))
+    yield from checker_grids()
+
+
+def grid_points(grid, rng, n):
+    """n uniform points in the grid, plus n on cell edges and n // 3 on cell corners."""
+    x0, y0, x1, y1 = grid.extent
+    cs = grid.cell_size
+    pts = rng.uniform((x0, y0), (x1, y1), (n, 2)).tolist()
+    for _ in range(n // 3):
+        ix = int(rng.integers(0, grid.width + 1))
+        iy = int(rng.integers(0, grid.height + 1))
+        pts.append((x0 + ix * cs, rng.uniform(y0, y1)))
+        pts.append((rng.uniform(x0, x1), y0 + iy * cs))
+        pts.append((x0 + ix * cs, y0 + iy * cs))
+    return [(x, y) for x, y in pts if grid.in_bounds(x, y)]
+
+
+def test_clearance_matches_kd_reference():
+    for k, grid in enumerate(geometry_grids()):
+        ref = KDGridReference(grid)
+        assert np.array_equal(grid.center_clearance(), ref.center_clearance())
+        for x, y in grid_points(grid, np.random.default_rng(k), 2750):
+            assert grid.clearance(x, y) == ref.clearance(x, y), (k, x, y)
+
+
 def test_checker_tables_match_reference():
-    grids = [random_maze(64, 64, 0.25, seed=77), random_maze(33, 33, 0.5, seed=3)]
-    for grid in grids + list(checker_grids()):
+    for grid in geometry_grids():
         cs = grid.cell_size
-        for radius in (0.2, 0.3):
+        for radius in (0.2, 0.25, 0.3):
             checker = grid.collision_checker(radius)
             assert checker._cands == cell_lists_reference(
                 checker, radius + SQRT2 * cs, nearest_first=True)
             checker.nearest(*grid.cell_center(0, 0))  # builds the far table
             assert checker._far == cell_lists_reference(checker, radius + checker.cap + SQRT2 * cs)
+
+
+def test_fallback_value_matches_kd_reference():
+    """Equal to the KD-tree's answer; on exact ties, the lowest row-major cell's."""
+    ties = 0
+    for k, grid in enumerate(geometry_grids()):
+        free = np.argwhere(grid.passable_mask(0.2))
+        if not len(free):
+            continue
+        # the goal nearest the middle of the grid, for a field that covers much of it
+        iy, ix = free[np.argmin(np.abs(free - [grid.height // 2, grid.width // 2]).sum(axis=1))]
+        field = distance_field(grid, grid.cell_center(ix, iy), 0.2)
+        ref = KDFieldReference(field)
+        iys, ixs = np.nonzero(np.isfinite(field.values))
+        ox, oy = grid.origin
+        cx = ox + (ixs + 0.5) * grid.cell_size
+        cy = oy + (iys + 0.5) * grid.cell_size
+        for x, y in grid_points(grid, np.random.default_rng(k), 1000):
+            d2 = (cx - x) ** 2 + (cy - y) ** 2
+            first, second = np.argsort(d2, kind="stable")[:2]
+            if d2[first] == d2[second]:
+                ties += 1
+                want = float(field.values[iys[first], ixs[first]] + math.sqrt(d2[first]))
+                assert field._fallback_value(x, y) == want, (x, y)
+            else:
+                assert field._fallback_value(x, y) == ref._fallback_value(x, y), (x, y)
+    assert ties > 0
+    unreachable = DistanceField(empty_grid(3), (0.5, 0.5), 0.2, np.full((3, 3), math.inf))
+    assert unreachable._fallback_value(0.5, 0.5) == math.inf
+
+
+def test_package_imports_without_scipy_spatial():
+    # a fresh interpreter that finds kinnav where this one did
+    src = os.path.dirname(os.path.dirname(kinnav.__file__))
+    code = f"import sys; sys.path.insert(0, {src!r}); import kinnav, kinnav.cli; " \
+           "print('scipy.spatial' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+# -- collision checker -----------------------------------------------------
 
 
 def probe_points(grid, rng, n=300):
