@@ -1,5 +1,7 @@
 """Velocity commands, the kinematic teleport backend, and the dynamic-lite surrogate."""
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -88,11 +90,15 @@ class DynamicLiteConfig:
     prevented penetration in one substep exceeds fall_penetration.
 
     Every substep starts from a free pose and clearance is 1-Lipschitz, so the
-    penetration of a substep is at most its displacement. A fall therefore
-    needs a speed above fall_penetration * substeps / dt: 12 m/s at the
-    defaults and dt = 1 s, far beyond every robot's limits, so profiles A and B
-    cannot fall at 240 substeps. Only coarse substepping (substeps=1 in the
-    tests) reaches the fall path.
+    penetration of a substep is at most its displacement. The lagged velocity
+    moves along a straight line toward the command, so from any substep on the
+    speed is at most v_max, the larger of the current and the commanded speed,
+    and each displacement at most v_max * dt / substeps. A fall therefore
+    needs v_max * dt / substeps above fall_penetration, which
+    dynamic_lite_step tests once per step, at its first contact. Within every
+    robot's limits (v_max <= 0.5 * sqrt(2) m/s) that never happens at 240
+    substeps, nor for Spot from 15 substeps up; only coarse substepping
+    (substeps=1 in the tests) reaches the fall path.
     """
 
     tau: float
@@ -103,8 +109,12 @@ class DynamicLiteConfig:
     def __post_init__(self):
         if not self.tau > 0:
             raise ValueError("tau must be positive")
+        if not isinstance(self.substeps, int) or isinstance(self.substeps, bool):
+            raise ValueError("substeps must be an int")
         if self.substeps < 1:
             raise ValueError("substeps must be at least 1")
+        if not (self.fall_penetration > 0 and math.isfinite(self.fall_penetration)):
+            raise ValueError("fall_penetration must be positive and finite")
 
 
 # Two controller personalities, mirroring a tight tracker used for training
@@ -113,6 +123,16 @@ PROFILES = {
     "profile-A": DynamicLiteConfig(tau=0.30, slide_on_contact=True),
     "profile-B": DynamicLiteConfig(tau=0.60, slide_on_contact=False),
 }
+
+# relative and absolute padding of the hold-horizon bounds, far above their rounding
+_PAD_REL = 1.0 + 1e-6
+_PAD_ABS = 1e-15
+
+
+@functools.lru_cache(maxsize=None)
+def _contact_events(substeps):
+    """(('contact', 0), ..., ('contact', substeps - 1)), sliced for a held run."""
+    return tuple(("contact", k) for k in range(substeps))
 
 
 def dynamic_lite_step(grid, pose, actual_vel, cmd, config, spec, dt=1.0):
@@ -125,6 +145,29 @@ def dynamic_lite_step(grid, pose, actual_vel, cmd, config, spec, dt=1.0):
     come from two certified discs (see _CollisionChecker): points within
     sqrt(f2) of (fx, fy) are free, points within sqrt(b2) of (bx, by) blocked.
     A query runs only when a point falls outside both.
+
+    Hold horizon: a profile that does not slide stays at (x, y) in contact, and
+    substep j tests the candidate (x, y) + d_j with d_j = R(theta_j) v_j delta.
+    At the first contact of a step, with v, w the velocity there and c, cw the
+    command, three bounds hold for that substep and every later one:
+
+    - speed: |v_j| <= v_max = max(|v|, |c|) and |w_j| <= w_max = max(|w|, |cw|).
+      Each substep moves the velocity toward the command by alpha times the
+      remaining gap, so v_j lies on the segment from v to c, and the gap
+      |c - v_j| never grows.
+    - fall: each displacement is at most v_max * delta. If that stays below
+      the fall gate the step cannot fall, and its contacts skip the fall test.
+    - drift: |d_{j+1} - d_j| <= drift = delta * (alpha * |c - v| + w_max *
+      delta * v_max): the velocity changes by alpha * |c - v_j| and the
+      heading turns by |w_j| * delta.
+
+    In a step that cannot fall, a contact whose candidate lies e from the
+    centre of the blocked disc certifies the next m substeps blocked while
+    e + m * drift < sqrt(b2). Those substeps only advance the velocity lag and
+    the heading and record their contacts. Both bounds are padded well above
+    their rounding, and the certificate's CERT_EPS covers the rounding of the
+    candidates themselves. The answers, and so every output, are those of a
+    test per substep.
     """
     checker = grid.collision_checker(spec.footprint_radius)
     certify = checker.certify
@@ -134,7 +177,8 @@ def dynamic_lite_step(grid, pose, actual_vel, cmd, config, spec, dt=1.0):
         raise InconsistentStateError(f"pose {pose} starts in collision")
     fx, fy = x, y
     bx = by = b2 = 0.0
-    delta = dt / config.substeps
+    n = config.substeps
+    delta = dt / n
     # gain capped at 1: for delta >= tau the lag collapses to exact tracking
     # (an uncapped explicit update would be unstable for delta > 2*tau)
     alpha = min(delta / config.tau, 1.0)
@@ -147,57 +191,76 @@ def dynamic_lite_step(grid, pose, actual_vel, cmd, config, spec, dt=1.0):
     cvx, cvy, cw = cmd.vx, cmd.vy, cmd.w
     cos, sin = math.cos, math.sin
     events = []
-    for k in range(config.substeps):
+    hold = None  # set at the first contact: True when the step holds and cannot fall
+    ks = iter(range(n))
+    for k in ks:
         vx += alpha * (cvx - vx)
         vy += alpha * (cvy - vy)
         w += alpha * (cw - w)
         c = cos(th)
         s = sin(th)
+        th += w * delta
         nx = x + (vx * c - vy * s) * delta
         ny = y + (vx * s + vy * c) * delta
         ex = nx - fx
         ey = ny - fy
         if ex * ex + ey * ey < f2:
-            hit = False
-        else:
-            ex = nx - bx
-            ey = ny - by
-            if ex * ex + ey * ey < b2:
-                hit = True
-            else:
-                hit, reach2 = certify(nx, ny)
-                if hit:
-                    bx, by, b2 = nx, ny, reach2
-                else:
-                    fx, fy, f2 = nx, ny, reach2
-        if hit:
-            events.append(("contact", k))
-            deep = math.hypot(nx - x, ny - y) > gate
-            if slide:
-                for px, py in ((nx, y), (x, ny)):
-                    ex = px - fx
-                    ey = py - fy
-                    if ex * ex + ey * ey < f2:
-                        hit = False
-                    else:
-                        ex = px - bx
-                        ey = py - by
-                        if ex * ex + ey * ey < b2:
-                            hit = True
-                        else:
-                            hit, reach2 = certify(px, py)
-                            if hit:
-                                bx, by, b2 = px, py, reach2
-                            else:
-                                fx, fy, f2 = px, py, reach2
-                    if not hit:
-                        x, y = px, py
-                        break
-            if deep and checker.penetration(nx, ny) > fall_pen:
-                events.append(("fall", k))
-                th += w * delta
-                break
-        else:
             x, y = nx, ny
-        th += w * delta
+            continue
+        ex = nx - bx
+        ey = ny - by
+        e2 = ex * ex + ey * ey
+        if e2 >= b2:
+            hit, reach2 = certify(nx, ny)
+            if not hit:
+                fx, fy, f2 = nx, ny, reach2
+                x, y = nx, ny
+                continue
+            bx, by, b2 = nx, ny, reach2
+            e2 = 0.0
+        events.append(("contact", k))
+        if hold is None:
+            hold = False
+            if not slide:
+                vmax = max(math.hypot(vx, vy), math.hypot(cvx, cvy))
+                if vmax * delta * _PAD_REL + _PAD_ABS < gate:
+                    hold = True
+                    wmax = max(abs(w), abs(cw))
+                    drift = (delta * (alpha * math.hypot(cvx - vx, cvy - vy)
+                                      + wmax * delta * vmax)) * _PAD_REL + _PAD_ABS
+                    contacts = _contact_events(n)
+        if hold:
+            m = int((math.sqrt(b2) - math.sqrt(e2)) / drift)
+            if m:
+                for _ in itertools.islice(ks, m):
+                    vx += alpha * (cvx - vx)
+                    vy += alpha * (cvy - vy)
+                    w += alpha * (cw - w)
+                    th += w * delta
+                events += contacts[k + 1:k + 1 + m]
+            continue
+        deep = math.hypot(nx - x, ny - y) > gate
+        if slide:
+            for px, py in ((nx, y), (x, ny)):
+                ex = px - fx
+                ey = py - fy
+                if ex * ex + ey * ey < f2:
+                    hit = False
+                else:
+                    ex = px - bx
+                    ey = py - by
+                    if ex * ex + ey * ey < b2:
+                        hit = True
+                    else:
+                        hit, reach2 = certify(px, py)
+                        if hit:
+                            bx, by, b2 = px, py, reach2
+                        else:
+                            fx, fy, f2 = px, py, reach2
+                if not hit:
+                    x, y = px, py
+                    break
+        if deep and checker.penetration(nx, ny) > fall_pen:
+            events.append(("fall", k))
+            break
     return Pose(x, y, wrap_angle(th)), VelocityCommand(vx, vy, w), events

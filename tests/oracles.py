@@ -4,7 +4,11 @@ Everything here is deliberately slow and written with plain scalar loops so
 that it shares no code path with the package under test. The exceptions are
 earlier versions of package code, kept verbatim so that faster replacements
 can be checked against them for exact equality: dynlite_reference_step runs on
-the package's exact collision tests, descent_path_reference and
+the package's exact collision tests, so it checks both the certified discs and
+the hold horizon, which skips the tests of contacts certified in advance
+(tests/test_motion.py compares them on hugging starts at walls, corners and
+the grid edge, for Spot, AlienGo and A1 at 24, 60 and 240 substeps, with
+reversed velocities and turns at the angular limit), descent_path_reference and
 oracle_target_reference on DistanceField.descent_neighbor, and
 cell_lists_reference builds a collision checker's per-cell tables. The
 numpy-indexing versions of the distance-field reads (value_at_reference,

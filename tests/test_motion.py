@@ -1,16 +1,19 @@
+import contextlib
 import math
+import types
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from kinnav import motion
 from kinnav.agents import AgentAction
 from kinnav.motion import (PROFILES, DynamicLiteConfig, InconsistentStateError,
                            InvalidCommandError, Pose, VelocityCommand,
                            clamp_command, dynamic_lite_step, kinematic_step,
                            wrap_angle)
 from kinnav.maps import random_maze
-from kinnav.robots import A1, SPOT
+from kinnav.robots import A1, ALIENGO, SPOT
 from kinnav.world import CERT_EPS, OccupancyGrid, load_world
 
 from oracles import dynlite_reference_step, dynlite_scalar_oracle
@@ -183,6 +186,15 @@ def test_config_invariants():
         DynamicLiteConfig(tau=0.0)
     with pytest.raises(ValueError):
         DynamicLiteConfig(tau=0.3, substeps=0)
+    # a negative or NaN threshold would make every contact a fall, or none
+    for pen in (-1.0, 0.0, -0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            DynamicLiteConfig(tau=0.3, fall_penetration=pen)
+    for substeps in (2.5, 240.0, True, "240", None):
+        with pytest.raises(ValueError):
+            DynamicLiteConfig(tau=0.3, substeps=substeps)
+    cfg = DynamicLiteConfig(tau=0.3, substeps=1, fall_penetration=1e-3)
+    assert (cfg.substeps, cfg.fall_penetration) == (1, 1e-3)
 
 
 def test_dynlite_tau_equals_delta_matches_kinematic():
@@ -290,7 +302,11 @@ def hugging_pose(checker, grid, rng):
         px, py = rng.uniform((x0, y0), (x1, y1)).tolist()
         if not checker.blocked(px, py):
             break
-    th = rng.uniform(-math.pi, math.pi)
+    return hug(checker, grid, px, py, rng.uniform(-math.pi, math.pi))
+
+
+def hug(checker, grid, px, py, th):
+    """The last free pose, to a few ulps, on the ray from free (px, py) at heading th."""
     ux, uy = math.cos(th), math.sin(th)
     lo, hi = 0.0, grid.cell_size
     while not checker.blocked(px + hi * ux, py + hi * uy):
@@ -386,3 +402,179 @@ def test_dynlite_event_order(dynlite_runs):
             kinds, steps = kinds[:-1], steps[:-1]
         assert set(kinds) <= {"contact"}
         assert steps == sorted(set(steps))
+
+
+# -- the hold horizon: contacts certified blocked ahead of time -------------
+
+
+@contextlib.contextmanager
+def counting_cos():
+    """Count the candidates dynamic_lite_step evaluates: one cos per tested substep."""
+    calls = [0]
+
+    def cos(t):
+        calls[0] += 1
+        return math.cos(t)
+
+    fake = types.SimpleNamespace(**{k: getattr(math, k) for k in dir(math)
+                                    if not k.startswith("_")})
+    fake.cos = cos
+    saved = motion.math
+    motion.math = fake
+    try:
+        yield calls
+    finally:
+        motion.math = saved
+
+
+def hold_grids():
+    """A wall slab, an L-shaped inner corner, a random maze and a bare grid edge."""
+    corner = load_world("cell_size 0.5\n" + "\n".join([
+        "..........",
+        "..........",
+        "..######..",
+        "..#.......",
+        "..#.......",
+        "..#.......",
+        "..........",
+    ]) + "\n")
+    return [wall_grid(), corner, random_maze(24, 24, 0.25, seed=13),
+            OccupancyGrid(np.zeros((8, 8), dtype=bool), 0.5, (-1.7, 0.9))]
+
+
+def hold_starts(checker, grid, rng):
+    """Poses hugging walls, corners and the grid edge, each heading into its contact.
+
+    Three rays from free points of a 3x3 lattice, toward a side or a
+    diagonal; a diagonal into a concave corner (the grid's own, or the L's
+    inner one) ends touching both walls. Plus one random hugging pose.
+    """
+    x0, y0, x1, y1 = grid.extent
+    free = [(px, py) for px in np.linspace(x0, x1, 5)[1:-1].tolist()
+            for py in np.linspace(y0, y1, 5)[1:-1].tolist() if not checker.blocked(px, py)]
+    starts = []
+    for i in rng.choice(8 * len(free), size=3, replace=False).tolist():
+        px, py = free[i // 8]
+        starts.append(hug(checker, grid, px, py, wrap_angle((i % 8) * math.pi / 4 + 1e-3)))
+    return starts + [hugging_pose(checker, grid, rng)]
+
+
+def hold_commands(spec, rng):
+    """(start velocity, command) pairs, body frame; +x presses into the contact.
+
+    Pressing from rest, reversals of the start velocity along and across the
+    heading, turns at |w| = ang_limit that swing a grazing velocity off the
+    wall, and random commands.
+    """
+    lin, ang = spec.lin_limit, spec.ang_limit
+    zero = VelocityCommand(0.0, 0.0, 0.0)
+    graze = 0.15 * lin
+    pairs = [
+        (zero, VelocityCommand(lin, 0.0, 0.0)),
+        (VelocityCommand(lin, 0.0, 0.0), VelocityCommand(-lin, 0.0, 0.0)),
+        (VelocityCommand(-lin, 0.0, 0.0), VelocityCommand(lin, 0.0, 0.0)),
+        (VelocityCommand(1.5, 0.0, 0.0), VelocityCommand(-lin, 0.3 * lin, 0.0)),
+        (VelocityCommand(0.3 * lin, lin, 0.0), VelocityCommand(0.3 * lin, -lin, 0.0)),
+        (VelocityCommand(lin, 0.0, -ang), VelocityCommand(lin, 0.0, ang)),
+        (VelocityCommand(graze, lin, ang), VelocityCommand(graze, lin, ang)),
+        (VelocityCommand(graze, -lin, -ang), VelocityCommand(graze, -lin, -ang)),
+        (VelocityCommand(0.5 * graze, lin, 0.0), VelocityCommand(0.5 * graze, lin, ang)),
+    ]
+    pairs.append((clamp_command(VelocityCommand(*rng.uniform(-1, 1, 3)), spec),
+                  clamp_command(VelocityCommand(*rng.uniform(-1, 1, 3)), spec)))
+    return pairs
+
+
+@pytest.fixture(scope="module")
+def hold_runs():
+    """(cfg, start pose, velocity, cmd, new result, reference result, candidates) per step.
+
+    Non-sliding configs at 24, 60 and 240 substeps (profile B's tau and a
+    faster one), Spot, AlienGo and A1, from hugging starts; each (velocity,
+    command) pair runs two steps, the second from the first's end state.
+    candidates counts the substeps dynamic_lite_step tested.
+    """
+    rng = np.random.default_rng(21)
+    runs = []
+    with counting_cos() as calls:
+        for grid in hold_grids():
+            for spec in (SPOT, ALIENGO, A1):
+                checker = grid.collision_checker(spec.footprint_radius)
+                for substeps in (24, 60, 240):
+                    for tau in (PROFILES["profile-B"].tau, 0.15):
+                        cfg = DynamicLiteConfig(tau, substeps, slide_on_contact=False)
+                        for start in hold_starts(checker, grid, rng):
+                            for vel, cmd in hold_commands(spec, rng):
+                                pose = start
+                                for _ in range(2):
+                                    before = calls[0]
+                                    new = dynamic_lite_step(grid, pose, vel, cmd, cfg, spec)
+                                    tested = calls[0] - before
+                                    ref = dynlite_reference_step(grid, pose, vel, cmd, cfg, spec)
+                                    runs.append((cfg, pose, vel, cmd, new, ref, tested))
+                                    pose, vel, _ = ref
+    return runs
+
+
+def test_hold_horizon_matches_exact_reference(hold_runs):
+    for cfg, pose, vel, cmd, new, ref, _ in hold_runs:
+        assert new == ref, (cfg, pose, vel, cmd)
+    substeps = sum(cfg.substeps for cfg, *_ in hold_runs)
+    tested = sum(run[-1] for run in hold_runs)
+    contacts = sum(len(ref[2]) for *_, ref, _ in hold_runs)
+    # the horizon skipped most contacts, and many steps let go of the wall in time
+    assert substeps - tested > 0.8 * contacts > 0.4 * substeps
+    left = [ref for cfg, *_, ref, _ in hold_runs
+            if ref[2] and ref[2][-1] != ("contact", cfg.substeps - 1)]
+    assert len(left) >= 300
+
+
+def test_hold_horizon_skips_most_candidates_against_a_wall():
+    grid = wall_grid()
+    for spec in (SPOT, ALIENGO, A1):
+        checker = grid.collision_checker(spec.footprint_radius)
+        pose = hug(checker, grid, 3.0, 5.0, 0.0)
+        lin = spec.lin_limit
+        press = VelocityCommand(lin, 0.0, 0.0)
+        runs = [(PROFILES["profile-B"], VelocityCommand(0.0, 0.0, 0.0), press),
+                # backing off, then pressing again: the horizon's bounds come from
+                # the velocity at the first contact, far closer to the command than
+                # the start velocity, so the held run tests few of its substeps
+                (DynamicLiteConfig(0.15, slide_on_contact=False), VelocityCommand(-lin, 0, 0),
+                 press)]
+        for cfg, vel, cmd in runs:
+            with counting_cos() as calls:
+                out = dynamic_lite_step(grid, pose, vel, cmd, cfg, spec)
+            assert out == dynlite_reference_step(grid, pose, vel, cmd, cfg, spec)
+            contacts = [k for _, k in out[2]]
+            assert contacts == list(range(contacts[0], cfg.substeps))
+            free = contacts[0]
+            assert calls[0] - free < 0.2 * len(contacts), (spec.name, cfg, calls[0], free)
+
+
+def test_hold_horizon_off_where_sliding_or_falls_are_possible():
+    grid = wall_grid()
+    checker = grid.collision_checker(SPOT.footprint_radius)
+    pose = hug(checker, grid, 3.0, 5.0, 0.0)
+    rest = VelocityCommand(0.0, 0.0, 0.0)
+    press = VelocityCommand(SPOT.lin_limit, 0.0, 0.0)
+    # profile A slides; at 1 to 8 substeps a substep may dig in by more than
+    # fall_penetration, so every substep up to the end or the fall is tested
+    runs = [(PROFILES["profile-A"], rest, press)]
+    runs += [(DynamicLiteConfig(0.6, n, slide_on_contact=False), vel, press)
+             for n in (1, 4, 8) for vel in (rest, press)]
+    # the bound alone turns the horizon off: this step comes within 0.01 m of a fall
+    runs.append((DynamicLiteConfig(0.6, 8, slide_on_contact=False), rest,
+                 VelocityCommand(0.42, 0.0, 0.0)))
+    falls = 0
+    for cfg, vel, cmd in runs:
+        with counting_cos() as calls:
+            out = dynamic_lite_step(grid, pose, vel, cmd, cfg, SPOT)
+        assert out == dynlite_reference_step(grid, pose, vel, cmd, cfg, SPOT)
+        contacts = [k for kind, k in out[2] if kind == "contact"]
+        assert contacts == list(range(calls[0])), (cfg, vel, cmd)
+        fell = len(out[2]) - len(contacts)
+        assert fell or len(contacts) == cfg.substeps
+        falls += fell
+    # every coarse non-sliding press falls; profile A and the slower command do not
+    assert falls == len(runs) - 2
