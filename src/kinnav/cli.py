@@ -95,7 +95,7 @@ def cmd_plot(args):
     trajectories = []
     for path in args.traj:
         records = task_mod.read_trajectory(path)
-        # success is not recorded in the log; color by final goal proximity
+        # success is not recorded in the log, so every route is drawn in the success color
         trajectories.append((records, True))
     svg = plotting.emit_plot(grid, trajectories)
     with open(args.out, "w") as f:
@@ -123,7 +123,7 @@ def build_parser():
     r.add_argument("--robot", default="spot", choices=sorted(ROBOTS))
     r.add_argument("--backend", default="kinematic", choices=harness_mod.BACKENDS)
     r.add_argument("--noise", default="none")
-    r.add_argument("--agent", default="oracle", choices=["oracle", "random"])
+    r.add_argument("--agent", default="oracle", choices=harness_mod.AGENTS)
     r.add_argument("--seeds", default="0,1,2")
     r.add_argument("--workers", type=int, default=1)
     r.add_argument("--traj-dir", default=None)
@@ -137,14 +137,14 @@ def build_parser():
 
     b = sub.add_parser("bench", help="steps-per-second throughput benchmark")
     b.add_argument("--map", required=True)
-    b.add_argument("--backend", default="all", choices=("all",) + harness_mod.BACKENDS)
+    b.add_argument("--backend", default="all", choices=("all", *harness_mod.BACKENDS))
     b.add_argument("--robot", default="spot", choices=sorted(ROBOTS))
     b.add_argument("--steps", type=int, default=2000)
     b.set_defaults(func=cmd_bench)
 
     f = sub.add_parser("fit-noise", help="fit an actuation-noise model from a CSV log")
     f.add_argument("--log", required=True)
-    f.add_argument("--mode", required=True, choices=["coupled", "decoupled"])
+    f.add_argument("--mode", required=True, choices=noise_mod.MODES)
     f.add_argument("--out", required=True)
     f.set_defaults(func=cmd_fit_noise)
 

@@ -14,15 +14,18 @@ from . import noise as noise_mod
 from . import world as world_mod
 from .agents import OracleAgent, RandomAgent
 from .motion import PROFILES, VelocityCommand, dynamic_lite_step, kinematic_step
-from .robots import get_robot
+from .robots import ROBOTS, get_robot
 from .task import NavEnv, SensorConfig, write_trajectory
 
 # purpose tags for RNG streams keyed by (base_seed, episode_id, purpose)
 _RNG_NOISE = 0
 _RNG_AGENT = 1
 
-BACKENDS = ("kinematic", "dynlite-a", "dynlite-b")
-_PROFILE_BY_BACKEND = {"dynlite-a": "profile-A", "dynlite-b": "profile-B"}
+# backend name -> dynamic-lite config, None for the kinematic backend
+BACKENDS = {"kinematic": None,
+            "dynlite-a": PROFILES["profile-A"],
+            "dynlite-b": PROFILES["profile-B"]}
+AGENTS = ("oracle", "random")
 
 EPISODE_FIELDS = ("seed", "episode_id", "success", "spl", "num_actions",
                   "num_collisions", "path_length", "total_reward",
@@ -50,7 +53,9 @@ class EvalConfig:
     def __post_init__(self):
         if self.backend not in BACKENDS:
             raise ConfigError(f"unknown backend {self.backend!r}")
-        if self.agent not in ("oracle", "random"):
+        if self.robot not in ROBOTS:
+            raise ConfigError(f"unknown robot {self.robot!r}")
+        if self.agent not in AGENTS:
             raise ConfigError(f"unknown agent {self.agent!r}")
         if self.workers < 1:
             raise ConfigError("workers must be at least 1")
@@ -119,10 +124,7 @@ def _run_pairs(config, pairs, traj_dir=None):
                                                       spec.footprint_radius)
             rng_noise = np.random.default_rng(
                 np.random.SeedSequence([seed, episode_id, _RNG_NOISE])) if noise else None
-            env = NavEnv(grid, spec,
-                         backend="kinematic" if config.backend == "kinematic" else "dynamic-lite",
-                         dyn_config=None if config.backend == "kinematic"
-                         else PROFILES[_PROFILE_BY_BACKEND[config.backend]],
+            env = NavEnv(grid, spec, dyn_config=BACKENDS[config.backend],
                          noise_model=noise, rng=rng_noise,
                          sensor=SensorConfig(expose_pose=True),
                          record_trajectory=bool(traj_dir))
@@ -379,14 +381,14 @@ def bench_throughput(grid, spec, backends=BACKENDS, steps=2000, warmup=1000,
     for backend in backends:
         pose = Pose(start[0], start[1], 0.0)
         vel = VelocityCommand(0.0, 0.0, 0.0)
-        if backend == "kinematic":
+        cfg = BACKENDS[backend]
+        if cfg is None:
             for cmd in cmds[:warmup]:
                 pose, _ = kinematic_step(grid, pose, cmd, 1.0, spec)
             t0 = time.perf_counter()
             for cmd in cmds[warmup:]:
                 pose, _ = kinematic_step(grid, pose, cmd, 1.0, spec)
         else:
-            cfg = PROFILES[_PROFILE_BY_BACKEND[backend]]
             if substeps is not None:
                 cfg = replace(cfg, substeps=substeps)
             for cmd in cmds[:warmup]:

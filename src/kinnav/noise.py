@@ -12,6 +12,7 @@ from .motion import VelocityCommand
 DEG_PER_S = "deg_per_s"
 RAD_PER_S = "rad_per_s"
 AXES = ("x", "y", "w")
+MODES = ("coupled", "decoupled")
 
 
 class NoiseFitError(ValueError):
@@ -39,7 +40,7 @@ class NoiseModel:
     def __post_init__(self):
         self.mu = np.asarray(self.mu, dtype=float)
         self.sigma = np.asarray(self.sigma, dtype=float)
-        if self.mode not in ("coupled", "decoupled"):
+        if self.mode not in MODES:
             raise ValueError(f"mode must be coupled or decoupled, got {self.mode!r}")
         if self.mu.shape != (3,) or self.sigma.shape != (3,):
             raise ValueError("mu and sigma must be 3-vectors")

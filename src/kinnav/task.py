@@ -146,23 +146,20 @@ class NavEnv:
     per control period `dt`. step() returns an info dict with the keys
     "blocked", "dgeo", "r_geo" and "reason".
 
+    dyn_config selects the backend: None steps the kinematic backend, and a
+    DynamicLiteConfig steps dynamic-lite with that config.
+
     With record_trajectory=True every step appends a TRAJ_FIELDS record,
     including the exact clearance at the new pose, to the episode's
     trajectory; otherwise the trajectory stays empty and no step pays for it.
     """
 
-    def __init__(self, grid, spec, backend="kinematic", dyn_config=None,
-                 noise_model=None, rng=None, sensor=None, reward_cfg=None,
-                 dt=1.0, record_trajectory=False):
-        if backend not in ("kinematic", "dynamic-lite"):
-            raise ValueError(f"unknown backend {backend!r}")
-        if backend == "dynamic-lite" and dyn_config is None:
-            raise ValueError("dynamic-lite backend needs a DynamicLiteConfig")
+    def __init__(self, grid, spec, dyn_config=None, noise_model=None, rng=None,
+                 sensor=None, reward_cfg=None, dt=1.0, record_trajectory=False):
         if noise_model is not None and rng is None:
             raise ValueError("noise injection needs an rng")
         self.grid = grid
         self.spec = spec
-        self.backend = backend
         self.dyn_config = dyn_config
         self.noise_model = noise_model
         self.rng = rng
@@ -223,7 +220,7 @@ class NavEnv:
             applied = cmd
             if self.noise_model is not None:
                 applied = apply_noise(cmd, self.noise_model, self.rng)
-            if self.backend == "kinematic":
+            if self.dyn_config is None:
                 new_pose, blocked = kinematic_step(
                     self.grid, self.pose, applied, self.dt, self.spec)
             else:

@@ -202,14 +202,13 @@ class _CollisionChecker:
 
     Each occupied cell is one rectangle, a tuple of Python floats
     (x0, y0, x1, y1) shared by every cell list that holds it. For every cell
-    the checker lists the rectangles a disc centered anywhere in that cell
-    could touch, nearest first; most lists are empty. Cell and rectangle
-    centers share the grid lattice, so the lists come from a fixed stencil of
-    cell offsets rather than a spatial index. blocked() reads only the
-    list of the query point's cell. nearest() reads a second, wider list per
-    cell, built on first use, that holds every rectangle within radius + cap
-    of any point of the cell; near() answers the proximity test
-    clearance - radius < margin from it.
+    __init__ builds one list, in rectangle index order, of every rectangle
+    within radius + cap of any point of that cell. Cell and rectangle centers
+    share the grid lattice, so the lists come from a fixed stencil of cell
+    offsets rather than a spatial index. blocked() and nearest() read only
+    the list of the query point's cell: a rectangle that can touch the disc
+    lies within radius of the point, so it is on the list. near() answers
+    the proximity test clearance - radius < margin from nearest().
 
     certify() gives blocked()'s answer together with a disc around the query
     point on which blocked() gives that same answer. The clearance c(p), the
@@ -246,20 +245,18 @@ class _CollisionChecker:
         self._h = grid.height
         self._rects = list(zip(grid._occ_x0.tolist(), grid._occ_y0.tolist(),
                                (grid._occ_x0 + cs).tolist(), (grid._occ_y0 + cs).tolist()))
-        self._far = None
         self._exact_to = radius + self.cap
         self._free_from = radius + CERT_EPS
         self._blocked_to = radius - CERT_EPS
-        # reach: a disc anywhere in the cell vs any point of the rect
-        self._cands = self._cell_lists(radius + SQRT2 * cs, nearest_first=True)
+        # rects within radius + cap of a point, via their centers, from anywhere in the cell
+        self._lists = self._cell_lists(radius + self.cap + SQRT2 * cs)
 
-    def _cell_lists(self, reach, nearest_first=False):
+    def _cell_lists(self, reach):
         """Per cell, the rects whose center lies within reach of the cell center.
 
         Rect and cell centers share one lattice, so a fixed stencil of cell
         offsets, those at most reach away, picks every cell's rects. Lists hold
-        rects in index order, or nearest to the cell center first with ties in
-        index order. Built one grid row at a time.
+        rects in index order. Built one grid row at a time.
         """
         grid = self.grid
         w, h = self._w, self._h
@@ -276,23 +273,12 @@ class _CollisionChecker:
         ids = np.where(grid.cells, np.cumsum(grid.cells).reshape(h, w) - 1, -1)
         ids = np.pad(ids, n, constant_values=-1).ravel()
         stencil = np.arange(w)[:, None] + np.array([(n + dy) * pw + n + dx for dy, dx in offs])
-        xs, ys = grid.cell_center(np.arange(w), np.arange(h))
-        occ_x0, occ_y0 = grid._occ_x0, grid._occ_y0
         rects = self._rects
-        for iy, cy in enumerate(ys):
+        for iy in range(h):
             hits = ids[iy * pw + stencil]
             found = hits >= 0
             counts = found.sum(axis=1).tolist()
-            idx = hits[found]
-            if nearest_first:
-                cell = np.repeat(np.arange(w), counts)
-                cx = xs[cell]
-                rx0, ry0 = occ_x0[idx], occ_y0[idx]
-                dx = np.maximum(np.maximum(rx0 - cx, cx - (rx0 + cs)), 0.0)
-                dy = np.maximum(np.maximum(ry0 - cy, cy - (ry0 + cs)), 0.0)
-                # by cell, then by distance; the sort is stable, so ties keep index order
-                idx = idx[np.lexsort((dx * dx + dy * dy, cell))]
-            idx = idx.tolist()
+            idx = hits[found].tolist()
             row = iy * w
             for ix, (c, end) in enumerate(zip(counts, itertools.accumulate(counts))):
                 if c:
@@ -311,7 +297,7 @@ class _CollisionChecker:
             ix = self._w - 1
         if iy >= self._h:
             iy = self._h - 1
-        for rx0, ry0, rx1, ry1 in self._cands[iy * self._w + ix]:
+        for rx0, ry0, rx1, ry1 in self._lists[iy * self._w + ix]:
             dx = rx0 - x if x < rx0 else (x - rx1 if x > rx1 else 0.0)
             dy = ry0 - y if y < ry0 else (y - ry1 if y > ry1 else 0.0)
             if dx * dx + dy * dy < r2:
@@ -339,17 +325,13 @@ class _CollisionChecker:
             best = d
         if not best > 0.0:
             return 0.0
-        far = self._far
-        if far is None:
-            # rects within radius + cap of a point, via their centers, from anywhere in the cell
-            far = self._far = self._cell_lists(self.radius + self.cap + SQRT2 * self._cs)
         ix = int((x - x0) / self._cs)
         iy = int((y - y0) / self._cs)
         if ix >= self._w:
             ix = self._w - 1
         if iy >= self._h:
             iy = self._h - 1
-        for rx0, ry0, rx1, ry1 in far[iy * self._w + ix]:
+        for rx0, ry0, rx1, ry1 in self._lists[iy * self._w + ix]:
             dx = rx0 - x if x < rx0 else (x - rx1 if x > rx1 else 0.0)
             dy = ry0 - y if y < ry0 else (y - ry1 if y > ry1 else 0.0)
             d = math.hypot(dx, dy)

@@ -10,7 +10,7 @@ the hold horizon, which skips the tests of contacts certified in advance
 the grid edge, for Spot, AlienGo and A1 at 24, 60 and 240 substeps, with
 reversed velocities and turns at the angular limit), descent_path_reference and
 oracle_target_reference on DistanceField.descent_neighbor, and
-cell_lists_reference builds a collision checker's per-cell tables. The
+cell_lists_reference builds a collision checker's per-cell lists. The
 numpy-indexing versions of the distance-field reads (value_at_reference,
 descent_neighbor_reference, oracle_target_numpy_reference) and the one-way
 move graph searched undirected (distance_values_reference) check the
@@ -21,7 +21,6 @@ them from the cell lattice alone.
 """
 
 import heapq
-import itertools
 import math
 
 import numpy as np
@@ -52,6 +51,29 @@ def clearance_oracle(grid, x, y):
             dy = max(ry0 - y, y - (ry0 + cs), 0.0)
             best = min(best, math.hypot(dx, dy))
     return max(best, 0.0)
+
+
+def blocked_oracle(grid, radius, x, y):
+    """_CollisionChecker.blocked over every occupied cell rect, in blocked()'s own arithmetic.
+
+    The grid edge test, then `dx*dx + dy*dy < r2` against each rect, with the
+    far edge at x0 + cs: the same float operations as the package's, so the
+    answers must be equal, not merely close. numpy's elementwise float64
+    operations round exactly as the scalar ones do.
+    """
+    x0, y0, x1, y1 = grid.extent
+    if x < x0 + radius or x > x1 - radius or y < y0 + radius or y > y1 - radius:
+        return True
+    cs = grid.cell_size
+    ox, oy = grid.origin
+    iys, ixs = np.nonzero(grid.cells)
+    rx0 = ox + ixs * cs
+    ry0 = oy + iys * cs
+    rx1 = rx0 + cs
+    ry1 = ry0 + cs
+    dx = np.where(x < rx0, rx0 - x, np.where(x > rx1, x - rx1, 0.0))
+    dy = np.where(y < ry0, ry0 - y, np.where(y > ry1, y - ry1, 0.0))
+    return bool(np.any(dx * dx + dy * dy < radius * radius))
 
 
 def passable_oracle(grid, robot_radius):
@@ -227,8 +249,8 @@ def oracle_target_reference(field, spec, dt, pose):
     return best
 
 
-def cell_lists_reference(checker, reach, nearest_first=False):
-    """_CollisionChecker._cell_lists as it was: one KD query per grid row, then a lexsort."""
+def cell_lists_reference(checker, reach):
+    """_CollisionChecker._cell_lists as it was: one KD query per grid row."""
     grid = checker.grid
     w = checker._w
     out = [()] * (w * checker._h)
@@ -239,25 +261,10 @@ def cell_lists_reference(checker, reach, nearest_first=False):
     ox, oy = grid.origin
     xs = ox + (np.arange(w) + 0.5) * cs
     ys = oy + (np.arange(checker._h) + 0.5) * cs
-    occ_x0, occ_y0 = grid._occ_x0, grid._occ_y0
     rects = checker._rects
     for iy, cy in enumerate(ys):
         # a multi-point query lists each point's indices in ascending order
         hits = tree.query_ball_point(np.column_stack([xs, np.full(w, cy)]), reach)
-        if nearest_first:
-            counts = [len(h) for h in hits]
-            total = sum(counts)
-            if not total:
-                continue
-            idx = np.fromiter(itertools.chain.from_iterable(hits), np.intp, total)
-            cell = np.repeat(np.arange(w), counts)
-            cx = xs[cell]
-            rx0, ry0 = occ_x0[idx], occ_y0[idx]
-            dx = np.maximum(np.maximum(rx0 - cx, cx - (rx0 + cs)), 0.0)
-            dy = np.maximum(np.maximum(ry0 - cy, cy - (ry0 + cs)), 0.0)
-            # by cell, then by distance; the sort is stable, so ties keep index order
-            idx = idx[np.lexsort((dx * dx + dy * dy, cell))].tolist()
-            hits = [idx[end - n:end] for n, end in zip(counts, itertools.accumulate(counts))]
         row = iy * w
         for ix, h in enumerate(hits):
             if h:

@@ -36,6 +36,8 @@ def test_eval_config_validation(small_setup):
     with pytest.raises(ConfigError):
         EvalConfig(map_path, ds_path, agent="dqn")
     with pytest.raises(ConfigError):
+        EvalConfig(map_path, ds_path, robot="r2d2")
+    with pytest.raises(ConfigError):
         EvalConfig(map_path, ds_path, workers=0)
     with pytest.raises(ConfigError):
         EvalConfig(map_path, ds_path, seeds=(0, 0))

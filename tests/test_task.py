@@ -276,8 +276,8 @@ def test_proximity_count_matches_logged_clearance(cell_size):
     for k, ep in enumerate(ds.episodes):
         field = distance_field(grid, ep.goal, SPOT.footprint_radius)
         rng = np.random.default_rng(k)
-        env = NavEnv(grid, SPOT, backend="dynamic-lite" if k % 2 else "kinematic",
-                     dyn_config=PROFILES["profile-B"], noise_model=reference_model("coupled"),
+        env = NavEnv(grid, SPOT, dyn_config=PROFILES["profile-B"] if k % 2 else None,
+                     noise_model=reference_model("coupled"),
                      rng=rng, record_trajectory=True)
         agent = RandomAgent(SPOT, rng)
         env.reset(ep, field)
@@ -326,9 +326,5 @@ def test_trajectory_roundtrip():
 
 def test_env_rejects_bad_config():
     grid = open_grid()
-    with pytest.raises(ValueError):
-        NavEnv(grid, SPOT, backend="warp9")
-    with pytest.raises(ValueError):
-        NavEnv(grid, SPOT, backend="dynamic-lite")
     with pytest.raises(ValueError):
         NavEnv(grid, SPOT, noise_model=object())

@@ -15,8 +15,8 @@ from kinnav.world import (CERT_EPS, DistanceField, InvalidGoalError, MapError,
                           OccupancyGrid, OutOfBoundsError, distance_field, load_world,
                           raycast, save_world)
 
-from oracles import (KDFieldReference, KDGridReference, cell_lists_reference, clearance_oracle,
-                     descent_neighbor_reference, descent_path_reference, dijkstra_oracle,
+from oracles import (KDFieldReference, KDGridReference, blocked_oracle, cell_lists_reference,
+                     clearance_oracle, descent_neighbor_reference, descent_path_reference, dijkstra_oracle,
                      distance_values_reference, neighbor_graph_reference, raymarch_oracle,
                      value_at_reference)
 
@@ -432,10 +432,17 @@ def test_checker_tables_match_reference():
         cs = grid.cell_size
         for radius in (0.2, 0.25, 0.3):
             checker = grid.collision_checker(radius)
-            assert checker._cands == cell_lists_reference(
-                checker, radius + SQRT2 * cs, nearest_first=True)
-            checker.nearest(*grid.cell_center(0, 0))  # builds the far table
-            assert checker._far == cell_lists_reference(checker, radius + checker.cap + SQRT2 * cs)
+            assert checker._lists == cell_lists_reference(
+                checker, radius + checker.cap + SQRT2 * cs)
+
+
+def test_blocked_matches_brute_force():
+    for k, grid in enumerate(geometry_grids()):
+        points = grid_points(grid, np.random.default_rng(50 + k), 600)
+        for radius in (0.2, 0.25, 0.3):
+            checker = grid.collision_checker(radius)
+            for x, y in points:
+                assert checker.blocked(x, y) == blocked_oracle(grid, radius, x, y), (k, radius, x, y)
 
 
 def test_fallback_value_matches_kd_reference():
