@@ -76,8 +76,15 @@ def cmd_bench(args):
 
 def cmd_fit_noise(args):
     log = []
+    columns = ["cmd_vx", "cmd_vy", "cmd_w", "meas_vx", "meas_vy", "meas_w"]
+    if args.mode == "decoupled":
+        columns.append("axis")
     with open(args.log, newline="") as f:
-        for rec in csv.DictReader(f):
+        reader = csv.DictReader(f)
+        missing = [c for c in columns if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{args.log}: missing column(s) {', '.join(missing)}")
+        for rec in reader:
             cmd = (float(rec["cmd_vx"]), float(rec["cmd_vy"]), float(rec["cmd_w"]))
             meas = (float(rec["meas_vx"]), float(rec["meas_vy"]), float(rec["meas_w"]))
             if args.mode == "decoupled":

@@ -67,11 +67,16 @@ def sample_episodes(grid, n, seed, largest_spec, ratio_min=DEFAULT_RATIO_MIN,
     """Rejection-sample n valid episodes; deterministic for a given seed.
 
     Start and goal positions are sampled uniformly over free, non-inflated cell
-    centers; the start heading is uniform in (-pi, pi].
+    centers; the start heading is uniform in (-pi, pi]. A start that is free
+    itself but blocked as write_dataset stores it, rounded to 6 significant
+    digits, is rejected (`start_blocked`), so a written dataset always loads
+    into NavEnv. Blocked is clearance below the footprint radius, which
+    needs no collision checker.
     """
     if max_attempts is None:
         max_attempts = max(1000 * n, 1)
-    passable = grid.passable_mask(largest_spec.footprint_radius)
+    radius = largest_spec.footprint_radius
+    passable = grid.passable_mask(radius)
     iys, ixs = np.nonzero(passable)
     if len(ixs) < 2:
         raise GenerationError("map has fewer than 2 free non-inflated cells")
@@ -99,9 +104,11 @@ def sample_episodes(grid, n, seed, largest_spec, ratio_min=DEFAULT_RATIO_MIN,
         gcell = (int(ixs[gi]), int(iys[gi]))
         if gcell != field_cell:
             field_cell = gcell
-            field = distance_field(grid, goal, largest_spec.footprint_radius)
+            field = distance_field(grid, goal, radius)
         ok, reason = validate_episode(grid, start, goal, largest_spec, ratio_min,
                                       dist_field=field)
+        if ok and grid.clearance(_round6(start.x), _round6(start.y)) < radius:
+            ok, reason = False, "start_blocked"
         if not ok:
             rejects[reason] = rejects.get(reason, 0) + 1
             continue

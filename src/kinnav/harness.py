@@ -155,8 +155,8 @@ def _run_pairs(config, pairs, traj_dir=None):
 
 
 def _worker(args):
-    config_kwargs, pairs, traj_dir = args
-    return _run_pairs(EvalConfig(**config_kwargs), pairs, traj_dir=traj_dir)
+    config, pairs, traj_dir = args
+    return _run_pairs(config, pairs, traj_dir=traj_dir)
 
 
 def run_batch(config, traj_dir=None):
@@ -183,12 +183,9 @@ def run_batch(config, traj_dir=None):
         nchunks = min(len(ids), config.workers * 4)
         chunks = [[(seed, i) for i in ids[k::nchunks] for seed in config.seeds]
                   for k in range(nchunks)]
-        kwargs = {k: getattr(config, k) for k in (
-            "map_path", "dataset_path", "robot", "backend", "noise_path",
-            "agent", "seeds", "workers", "label")}
         rows = []
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            for part in pool.map(_worker, [(kwargs, c, traj_dir) for c in chunks]):
+            for part in pool.map(_worker, [(config, c, traj_dir) for c in chunks]):
                 rows.extend(part)
     rows.sort(key=lambda r: (r["seed"], r["episode_id"]))
     summary = _summarize(config, rows, dataset_sha256)

@@ -141,10 +141,11 @@ def dynamic_lite_step(grid, pose, actual_vel, cmd, config, spec, dt=1.0):
     Returns (new pose, new actual velocity, events); events is a list of
     ('contact', substep) and ('fall', substep) tuples. A fall ends the step.
 
-    Collision answers equal checker.blocked() at every tested point, but most
-    come from two certified discs (see _CollisionChecker): points within
-    sqrt(f2) of (fx, fy) are free, points within sqrt(b2) of (bx, by) blocked.
-    A query runs only when a point falls outside both.
+    Collision answers equal checker.blocked(), that is clearance < radius, at
+    every tested point, but most come from two certified discs (see
+    _CollisionChecker): points within sqrt(f2) of (fx, fy) are free, points
+    within sqrt(b2) of (bx, by) blocked. A query runs only when a point falls
+    outside both.
 
     Hold horizon: a profile that does not slide stays at (x, y) in contact, and
     substep j tests the candidate (x, y) + d_j with d_j = R(theta_j) v_j delta.

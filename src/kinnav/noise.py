@@ -134,6 +134,8 @@ def load_noise_model(path_or_stream):
             continue
         parts = line.split()
         key, vals = parts[0], parts[1:]
+        if not vals:
+            raise NoiseFileError(f"line {i}: key {key!r} has no value")
         if key in fields:
             raise NoiseFileError(f"line {i}: duplicate key {key!r}")
         fields[key] = vals

@@ -122,13 +122,17 @@ class OccupancyGrid:
                     cols = (ix - k, ix + k)
                 ry0 = oy + jy * cs
                 dy = ry0 - y if y < ry0 else (y - ry0 - cs if y > ry0 + cs else 0.0)
+                if dy >= best:
+                    continue
                 for jx in cols:
                     if 0 <= jx < w and occ[jx]:
                         rx0 = ox + jx * cs
                         dx = rx0 - x if x < rx0 else (x - rx0 - cs if x > rx0 + cs else 0.0)
-                        d = math.hypot(dx, dy)
-                        if d < best:
-                            best = d
+                        # hypot(dx, dy) >= max(dx, dy): a rect this far cannot lower best
+                        if dx < best:
+                            d = math.hypot(dx, dy)
+                            if d < best:
+                                best = d
             k += 1
         return max(best, 0.0)
 
@@ -200,27 +204,32 @@ class OccupancyGrid:
 class _CollisionChecker:
     """Footprint-disc vs occupied-cell tests for one robot radius.
 
-    Each occupied cell is one rectangle, a tuple of Python floats
-    (x0, y0, x1, y1) shared by every cell list that holds it. For every cell
-    __init__ builds one list, in rectangle index order, of every rectangle
-    within radius + cap of any point of that cell. Cell and rectangle centers
-    share the grid lattice, so the lists come from a fixed stencil of cell
-    offsets rather than a spatial index. blocked() and nearest() read only
-    the list of the query point's cell: a rectangle that can touch the disc
-    lies within radius of the point, so it is on the list. near() answers
-    the proximity test clearance - radius < margin from nearest().
+    Each occupied cell is one rectangle, a tuple of Python floats (x0, y0)
+    shared by every cell list that holds it; its far edges are x0 + cs and
+    y0 + cs. For every cell __init__ builds one list, in rectangle index
+    order, of every rectangle within radius + cap of any point of that cell.
+    Cell and rectangle centers share the grid lattice, so the lists come from
+    a fixed stencil of cell offsets rather than a spatial index.
+
+    nearest() reads only the list of the query point's cell, and measures each
+    rectangle with the expression of grid.clearance(). The list holds every
+    rectangle within radius + cap of the point, so nearest() equals
+    grid.clearance() bit for bit wherever either is below radius + cap.
+    Every collision answer derives from it: blocked() is nearest() < radius,
+    so it holds exactly when grid.clearance() < radius and exactly at the
+    cell centers that passable_mask() excludes; penetration() is
+    radius - nearest(), and near() is the proximity test
+    clearance - radius < margin.
 
     certify() gives blocked()'s answer together with a disc around the query
-    point on which blocked() gives that same answer. The clearance c(p), the
-    distance from p to the nearest occupied boundary, is 1-Lipschitz, and
-    blocked(p) holds exactly when c(p) < radius, up to rounding. With
-    d = nearest(p):
+    point on which blocked() gives that same answer. The clearance is
+    1-Lipschitz, so with d = nearest(p):
 
     - if d >= radius + CERT_EPS, every point closer to p than
       min(d, radius + cap) - radius - CERT_EPS is free;
     - if d <= radius - CERT_EPS, every point closer to p than
       radius - d - CERT_EPS is blocked;
-    - otherwise the disc is empty and the answer is blocked()'s own.
+    - otherwise the disc is empty and the answer is d < radius.
 
     CERT_EPS = 1e-9 m is orders of magnitude above the rounding error of the
     distance arithmetic (about 1e-16 relative, under 1e-12 m on maps up to
@@ -233,18 +242,12 @@ class _CollisionChecker:
         self.grid = grid
         self.radius = radius
         self.cap = 0.5 * grid.cell_size
-        self._r2 = radius * radius
         cs = grid.cell_size
-        x0, y0, x1, y1 = grid.extent
-        self._extent = (x0, y0, x1, y1)
-        self._gx0, self._gy0 = x0, y0
-        self._bx0, self._by0 = x0 + radius, y0 + radius
-        self._bx1, self._by1 = x1 - radius, y1 - radius
+        self._extent = grid.extent
         self._cs = cs
         self._w = grid.width
         self._h = grid.height
-        self._rects = list(zip(grid._occ_x0.tolist(), grid._occ_y0.tolist(),
-                               (grid._occ_x0 + cs).tolist(), (grid._occ_y0 + cs).tolist()))
+        self._rects = list(zip(grid._occ_x0.tolist(), grid._occ_y0.tolist()))
         self._exact_to = radius + self.cap
         self._free_from = radius + CERT_EPS
         self._blocked_to = radius - CERT_EPS
@@ -287,30 +290,15 @@ class _CollisionChecker:
 
     def blocked(self, x, y):
         """True when a disc of the checker's radius at (x, y) overlaps occupied space."""
-        if x < self._bx0 or x > self._bx1 or y < self._by0 or y > self._by1:
-            return True
-        cs = self._cs
-        r2 = self._r2
-        ix = int((x - self._gx0) / cs)
-        iy = int((y - self._gy0) / cs)
-        if ix >= self._w:
-            ix = self._w - 1
-        if iy >= self._h:
-            iy = self._h - 1
-        for rx0, ry0, rx1, ry1 in self._lists[iy * self._w + ix]:
-            dx = rx0 - x if x < rx0 else (x - rx1 if x > rx1 else 0.0)
-            dy = ry0 - y if y < ry0 else (y - ry1 if y > ry1 else 0.0)
-            if dx * dx + dy * dy < r2:
-                return True
-        return False
+        return self.nearest(x, y) < self.radius
 
     def nearest(self, x, y):
         """Distance from (x, y) to the nearest occupied boundary, grid edge included.
 
-        Equal to grid.clearance(x, y) wherever that is at most radius + cap, and
-        at least radius + cap elsewhere: it is a minimum over a subset of the
-        rects, so it never understates the clearance, but above radius + cap it
-        may overstate it. Zero outside the grid.
+        Equal to grid.clearance(x, y) wherever either is below radius + cap,
+        and at least radius + cap elsewhere: it is a minimum over a subset of
+        the rects, so it never understates the clearance, but above
+        radius + cap it may overstate it. Zero outside the grid.
         """
         x0, y0, x1, y1 = self._extent
         best = x - x0
@@ -325,15 +313,22 @@ class _CollisionChecker:
             best = d
         if not best > 0.0:
             return 0.0
-        ix = int((x - x0) / self._cs)
-        iy = int((y - y0) / self._cs)
+        cs = self._cs
+        ix = int((x - x0) / cs)
+        iy = int((y - y0) / cs)
         if ix >= self._w:
             ix = self._w - 1
         if iy >= self._h:
             iy = self._h - 1
-        for rx0, ry0, rx1, ry1 in self._lists[iy * self._w + ix]:
-            dx = rx0 - x if x < rx0 else (x - rx1 if x > rx1 else 0.0)
-            dy = ry0 - y if y < ry0 else (y - ry1 if y > ry1 else 0.0)
+        for rx0, ry0 in self._lists[iy * self._w + ix]:
+            # grid.clearance()'s expression; hypot(dx, dy) >= max(dx, dy), so a
+            # rect with dx or dy at least best cannot lower it
+            dx = rx0 - x if x < rx0 else (x - rx0 - cs if x > rx0 + cs else 0.0)
+            if dx >= best:
+                continue
+            dy = ry0 - y if y < ry0 else (y - ry0 - cs if y > ry0 + cs else 0.0)
+            if dy >= best:
+                continue
             d = math.hypot(dx, dy)
             if d < best:
                 best = d
@@ -344,25 +339,19 @@ class _CollisionChecker:
         return max(self.radius - self.nearest(x, y), 0.0)
 
     def near(self, x, y, margin):
-        """grid.clearance(x, y) - radius < margin for (x, y) in the grid, from nearest().
+        """grid.clearance(x, y) - radius < margin for (x, y) in the grid.
 
-        Below radius + cap, nearest() is the clearance, so a distance at least
-        CERT_EPS from radius + margin settles the answer. Above it, the
-        clearance is only known to be at least radius + cap, which settles
-        "no" when radius + cap clears radius + margin by CERT_EPS. Every other
-        point pays the exact clearance query. CERT_EPS covers the rounding by
-        which nearest() and clearance() may differ.
+        Below radius + cap nearest() is the clearance itself. Elsewhere the
+        clearance is at least radius + cap, which settles "no" when cap is at
+        least margin (float subtraction is monotone); every other point pays
+        the exact clearance query.
         """
         d = self.nearest(x, y)
-        reach = self.radius + margin
-        if d < self._exact_to - CERT_EPS:
-            if d < reach - CERT_EPS:
-                return True
-            if d >= reach + CERT_EPS:
+        if d >= self._exact_to:
+            if self._exact_to - self.radius >= margin:
                 return False
-        elif self._exact_to - CERT_EPS >= reach + CERT_EPS:
-            return False
-        return self.grid.clearance(x, y) - self.radius < margin
+            d = self.grid.clearance(x, y)
+        return d - self.radius < margin
 
     def certify(self, x, y):
         """(blocked(x, y), r2): blocked() gives the same answer within sqrt(r2) of (x, y)."""
@@ -375,7 +364,7 @@ class _CollisionChecker:
         if d <= self._blocked_to:
             reach = self._blocked_to - d
             return True, reach * reach
-        return self.blocked(x, y), 0.0
+        return d < self.radius, 0.0
 
 
 # -- map document I/O -----------------------------------------------------

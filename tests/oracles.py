@@ -36,44 +36,30 @@ SQRT2 = math.sqrt(2.0)
 
 
 def clearance_oracle(grid, x, y):
-    """Exhaustive min distance to the boundary and every occupied cell rect."""
-    x0, y0, x1, y1 = grid.extent
-    best = min(x - x0, x1 - x, y - y0, y1 - y)
-    cs = grid.cell_size
-    ox, oy = grid.origin
-    for iy in range(grid.height):
-        for ix in range(grid.width):
-            if not grid.cells[iy, ix]:
-                continue
-            rx0 = ox + ix * cs
-            ry0 = oy + iy * cs
-            dx = max(rx0 - x, x - (rx0 + cs), 0.0)
-            dy = max(ry0 - y, y - (ry0 + cs), 0.0)
-            best = min(best, math.hypot(dx, dy))
-    return max(best, 0.0)
+    """Exhaustive min distance to the boundary and every occupied cell rect.
 
-
-def blocked_oracle(grid, radius, x, y):
-    """_CollisionChecker.blocked over every occupied cell rect, in blocked()'s own arithmetic.
-
-    The grid edge test, then `dx*dx + dy*dy < r2` against each rect, with the
-    far edge at x0 + cs: the same float operations as the package's, so the
-    answers must be equal, not merely close. numpy's elementwise float64
-    operations round exactly as the scalar ones do.
+    Each rect in the package's one expression, with its far edge measured as
+    x - x0 - cs, and math.hypot on every rect: the same float operations as
+    clearance() and nearest(), so those must equal it exactly, not merely
+    closely. numpy's elementwise float64 operations round exactly as the
+    scalar ones do.
     """
     x0, y0, x1, y1 = grid.extent
-    if x < x0 + radius or x > x1 - radius or y < y0 + radius or y > y1 - radius:
-        return True
+    best = min(x - x0, x1 - x, y - y0, y1 - y)
     cs = grid.cell_size
     ox, oy = grid.origin
     iys, ixs = np.nonzero(grid.cells)
     rx0 = ox + ixs * cs
     ry0 = oy + iys * cs
-    rx1 = rx0 + cs
-    ry1 = ry0 + cs
-    dx = np.where(x < rx0, rx0 - x, np.where(x > rx1, x - rx1, 0.0))
-    dy = np.where(y < ry0, ry0 - y, np.where(y > ry1, y - ry1, 0.0))
-    return bool(np.any(dx * dx + dy * dy < radius * radius))
+    dx = np.where(x < rx0, rx0 - x, np.where(x > rx0 + cs, x - rx0 - cs, 0.0))
+    dy = np.where(y < ry0, ry0 - y, np.where(y > ry0 + cs, y - ry0 - cs, 0.0))
+    best = min([best, *map(math.hypot, dx.tolist(), dy.tolist())])
+    return max(best, 0.0)
+
+
+def blocked_oracle(grid, radius, x, y):
+    """_CollisionChecker.blocked over every occupied cell rect: clearance below the radius."""
+    return clearance_oracle(grid, x, y) < radius
 
 
 def passable_oracle(grid, robot_radius):

@@ -102,6 +102,34 @@ def test_fit_noise_command(workspace, capsys):
     assert model.sample_count == 500
 
 
+@pytest.mark.parametrize("bare", ["mode", "units"])
+def test_run_rejects_noise_key_without_value(workspace, capsys, bare):
+    root, map_path = workspace
+    ds = str(root / "bare_eps.jsonl")
+    assert main(["gen-episodes", "--map", map_path, "--n", "1", "--out", ds]) == 0
+    lines = {"mode": "mode coupled", "units": "units rad_per_s"}
+    lines[bare] = bare
+    noise_path = str(root / f"bare_{bare}.noise")
+    with open(noise_path, "w") as f:
+        f.write("\n".join([lines["mode"], lines["units"], "mu 0 0 0", "sigma 0.1 0.1 0.1",
+                           "sample_count 2"]) + "\n")
+    assert main(["run", "--map", map_path, "--dataset", ds, "--noise", noise_path,
+                 "--seeds", "0", "--out", str(root / f"bare_{bare}")]) == 2
+    assert f"key '{bare}' has no value" in capsys.readouterr().err
+
+
+def test_fit_noise_names_missing_column(workspace, capsys):
+    root, map_path = workspace
+    log_path = str(root / "no_meas_w.csv")
+    with open(log_path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["cmd_vx", "cmd_vy", "cmd_w", "meas_vx", "meas_vy"])
+        w.writerows([[0.1, 0.0, 0.0, 0.11, 0.01]] * 3)
+    assert main(["fit-noise", "--log", log_path, "--mode", "coupled",
+                 "--out", str(root / "no_meas_w.noise")]) == 2
+    assert "missing column(s) meas_w" in capsys.readouterr().err
+
+
 def test_error_exit_code(workspace, capsys):
     root, map_path = workspace
     assert main(["gen-episodes", "--map", str(root / "missing.map"),

@@ -9,7 +9,8 @@ from kinnav.episodes import (DEFAULT_RATIO_MIN, DatasetError, GenerationError,
                              write_dataset)
 from kinnav.maps import random_maze
 from kinnav.motion import Pose
-from kinnav.robots import SPOT
+from kinnav.robots import ALIENGO, SPOT
+from kinnav.task import NavEnv
 from kinnav.world import distance_field, load_world
 
 from oracles import dijkstra_oracle
@@ -118,6 +119,17 @@ def test_dataset_roundtrip():
     assert back.generator_seed == 4
     assert back.scene_id == ds.scene_id
     assert len(back.episodes) == 10
+
+
+def test_written_dataset_starts_load_into_env(tmp_path):
+    # 0.1 m cells: some free starts have clearance exactly the footprint
+    # radius, and 6 significant digits can move them into contact
+    grid = random_maze(81, 81, 0.1, seed=5, corridor=7)
+    ds = sample_episodes(grid, 12, seed=1, largest_spec=ALIENGO)
+    write_dataset(ds, tmp_path / "eps.jsonl")
+    env = NavEnv(grid, ALIENGO)
+    for ep in read_dataset(tmp_path / "eps.jsonl").episodes:
+        env.reset(ep)
 
 
 def test_dataset_regeneration_from_header():

@@ -384,7 +384,7 @@ def test_dynlite_matches_exact_reference(dynlite_runs):
             if cfg.slide_on_contact and ref[2] and ref[0] != dynlite_reference_step(
                 grid, pose, vel, cmd, replace(cfg, slide_on_contact=False), spec)[0]]
     assert len(slid) >= 10
-    # starts whose clearance is within CERT_EPS of the radius take the exact fallback
+    # starts whose clearance is within CERT_EPS of the radius get an empty certified disc
     edge = [pose for grid, spec, _, pose, *_ in dynlite_runs
             if abs(grid.collision_checker(spec.footprint_radius).nearest(pose.x, pose.y)
                    - spec.footprint_radius) < CERT_EPS]

@@ -445,6 +445,26 @@ def test_blocked_matches_brute_force():
                 assert checker.blocked(x, y) == blocked_oracle(grid, radius, x, y), (k, radius, x, y)
 
 
+def test_blocked_is_clearance_below_radius():
+    for k, grid in enumerate(geometry_grids()):
+        points = grid_points(grid, np.random.default_rng(70 + k), 600)
+        clear = [grid.clearance(x, y) for x, y in points]
+        for radius in (0.2, 0.25, 0.3):
+            checker = grid.collision_checker(radius)
+            for (x, y), c in zip(points, clear):
+                assert checker.blocked(x, y) == (c < radius), (k, radius, x, y)
+
+
+def test_passable_mask_is_free_and_not_blocked_at_center():
+    for k, grid in enumerate(geometry_grids()):
+        for radius in (0.2, 0.25, 0.3):
+            checker = grid.collision_checker(radius)
+            mask = grid.passable_mask(radius)
+            for iy, ix in np.argwhere(~grid.cells).tolist():
+                assert mask[iy, ix] == (not checker.blocked(*grid.cell_center(ix, iy))), \
+                    (k, radius, ix, iy)
+
+
 def test_fallback_value_matches_kd_reference():
     """Equal to the KD-tree's answer; on exact ties, the lowest row-major cell's."""
     ties = 0
@@ -557,10 +577,10 @@ def boundary_points(inside, a, b):
 
 @pytest.mark.parametrize("cell_size, radius", [(0.25, 0.3), (0.5, 0.3), (0.25, 0.2), (0.45, 0.25)])
 def test_near_matches_clearance_expression(cell_size, radius):
-    # 0.25 m cells: cap 0.125 < PROXIMITY_MARGIN, so clearances in
-    # (radius + cap, radius + margin) need the exact query; 0.5 m cells: cap
-    # 0.25 > PROXIMITY_MARGIN, so nearest() settles every far point; on
-    # 0.45 m cells nearest() and clearance() often differ in the last bit
+    # 0.25 m cells: cap 0.125 < PROXIMITY_MARGIN, so some close points, with
+    # clearances in (radius + cap, radius + margin), need the exact query;
+    # 0.5 m cells: cap 0.25 > PROXIMITY_MARGIN, so nearest() settles every
+    # point; 0.45 m cells: edges that are not exact binary fractions
     reach = radius + PROXIMITY_MARGIN
     rng = np.random.default_rng(int(cell_size * 100 + radius * 10))
     at_reach = at_cap = between = 0
