@@ -36,14 +36,13 @@ class OracleAgent:
     Each step looks ahead only as far as the merge can reach: it takes the
     path one cell at a time (DistanceField.descent_step) and stops at the
     first cell that turns off the line of the first move or lies beyond
-    lin_limit * dt, so it reads at most lin_limit * dt / cell_size + 1 cells
-    of the path, whatever its length.
+    lin_limit * 1 s (NavEnv's control period), so it reads at most
+    lin_limit / cell_size + 1 cells of the path, whatever its length.
     """
 
-    def __init__(self, dist_field, spec, dt=1.0):
+    def __init__(self, dist_field, spec):
         self.field = dist_field
         self.spec = spec
-        self.dt = dt
 
     def reset(self):
         return None
@@ -58,14 +57,14 @@ class OracleAgent:
         dxw = target[0] - pose.x
         dyw = target[1] - pose.y
         dist = math.hypot(dxw, dyw)
-        speed = min(self.spec.lin_limit, dist / self.dt)
+        speed = min(self.spec.lin_limit, dist)
         ux, uy = dxw / dist, dyw / dist
         c = math.cos(pose.theta)
         s = math.sin(pose.theta)
         vx = (c * ux + s * uy) * speed
         vy = (-s * ux + c * uy) * speed
         err = wrap_angle(math.atan2(dyw, dxw) - pose.theta)
-        w = min(max(err / self.dt, -self.spec.ang_limit), self.spec.ang_limit)
+        w = min(max(err, -self.spec.ang_limit), self.spec.ang_limit)
         cmd = clamp_command(VelocityCommand(vx, vy, w), self.spec)
         return AgentAction(cmd), memory
 
@@ -76,7 +75,7 @@ class OracleAgent:
         w = grid.width
         ix, iy = grid.world_to_cell(pose.x, pose.y)
         cx, cy = grid.cell_center(ix, iy)
-        budget = self.spec.lin_limit * self.dt
+        budget = self.spec.lin_limit
         at_center = math.hypot(pose.x - cx, pose.y - cy) < 1e-9
         if at_center and math.isfinite(vals[iy * w + ix]):
             step = field.descent_step

@@ -1,7 +1,6 @@
 """Command-line interface: episode generation, evaluation, gaps, benchmarks, plots."""
 
 import argparse
-import csv
 import os
 import sys
 
@@ -14,6 +13,7 @@ from . import plotting
 from . import task as task_mod
 from . import world as world_mod
 from .robots import ROBOTS, get_robot
+from .tables import read_table
 
 
 def _load_grid(path):
@@ -75,22 +75,15 @@ def cmd_bench(args):
 
 
 def cmd_fit_noise(args):
-    log = []
-    columns = ["cmd_vx", "cmd_vy", "cmd_w", "meas_vx", "meas_vy", "meas_w"]
+    types = dict.fromkeys(("cmd_vx", "cmd_vy", "cmd_w", "meas_vx", "meas_vy", "meas_w"),
+                          float)
     if args.mode == "decoupled":
-        columns.append("axis")
-    with open(args.log, newline="") as f:
-        reader = csv.DictReader(f)
-        missing = [c for c in columns if c not in (reader.fieldnames or ())]
-        if missing:
-            raise ValueError(f"{args.log}: missing column(s) {', '.join(missing)}")
-        for rec in reader:
-            cmd = (float(rec["cmd_vx"]), float(rec["cmd_vy"]), float(rec["cmd_w"]))
-            meas = (float(rec["meas_vx"]), float(rec["meas_vy"]), float(rec["meas_w"]))
-            if args.mode == "decoupled":
-                log.append((cmd, meas, rec["axis"]))
-            else:
-                log.append((cmd, meas))
+        types["axis"] = str
+    log = []
+    for rec in read_table(args.log, types):
+        cmd = (rec["cmd_vx"], rec["cmd_vy"], rec["cmd_w"])
+        meas = (rec["meas_vx"], rec["meas_vy"], rec["meas_w"])
+        log.append((cmd, meas, rec["axis"]) if args.mode == "decoupled" else (cmd, meas))
     model = noise_mod.fit_noise_model(log, args.mode)
     noise_mod.save_noise_model(model, args.out)
     print(f"wrote {args.mode} noise model to {args.out} "

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .motion import Pose
+from .tables import opened
 from .task import Episode
 from .world import distance_field
 
@@ -144,20 +145,14 @@ def write_dataset(ds, path_or_stream):
             "geodesic_distance": _round6(ep.geodesic_distance),
         }, separators=(",", ":")))
     text = "\n".join(lines) + "\n"
-    if hasattr(path_or_stream, "write"):
-        path_or_stream.write(text)
-    else:
-        with open(path_or_stream, "w") as f:
-            f.write(text)
+    with opened(path_or_stream, "w") as f:
+        f.write(text)
     return text
 
 
 def read_dataset(path_or_stream):
-    if hasattr(path_or_stream, "read"):
-        text = path_or_stream.read()
-    else:
-        with open(path_or_stream) as f:
-            text = f.read()
+    with opened(path_or_stream, "r") as f:
+        text = f.read()
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise DatasetError("line 1: missing dataset header")

@@ -6,6 +6,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -15,6 +16,7 @@ from . import world as world_mod
 from .agents import OracleAgent, RandomAgent
 from .motion import PROFILES, VelocityCommand, dynamic_lite_step, kinematic_step
 from .robots import ROBOTS, get_robot
+from .tables import read_table, write_table
 from .task import NavEnv, SensorConfig, write_trajectory
 
 # purpose tags for RNG streams keyed by (base_seed, episode_id, purpose)
@@ -27,9 +29,10 @@ BACKENDS = {"kinematic": None,
             "dynlite-b": PROFILES["profile-B"]}
 AGENTS = ("oracle", "random")
 
-EPISODE_FIELDS = ("seed", "episode_id", "success", "spl", "num_actions",
-                  "num_collisions", "path_length", "total_reward",
-                  "termination_reason")
+EPISODE_TYPES = {"seed": int, "episode_id": int, "success": int, "spl": float,
+                 "num_actions": int, "num_collisions": int, "path_length": float,
+                 "total_reward": float, "termination_reason": str}
+EPISODE_FIELDS = tuple(EPISODE_TYPES)
 
 
 class ConfigError(ValueError):
@@ -154,11 +157,6 @@ def _run_pairs(config, pairs, traj_dir=None):
     return rows
 
 
-def _worker(args):
-    config, pairs, traj_dir = args
-    return _run_pairs(config, pairs, traj_dir=traj_dir)
-
-
 def run_batch(config, traj_dir=None):
     """Run every (episode x seed) pair; results are independent of worker count.
 
@@ -185,7 +183,7 @@ def run_batch(config, traj_dir=None):
                   for k in range(nchunks)]
         rows = []
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            for part in pool.map(_worker, [(config, c, traj_dir) for c in chunks]):
+            for part in pool.map(_run_pairs, repeat(config), chunks, repeat(traj_dir)):
                 rows.extend(part)
     rows.sort(key=lambda r: (r["seed"], r["episode_id"]))
     summary = _summarize(config, rows, dataset_sha256)
@@ -245,34 +243,11 @@ def read_summary(path):
 
 
 def write_episode_rows(rows, path):
-    import csv
-
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(EPISODE_FIELDS)
-        for r in rows:
-            writer.writerow([r["seed"], r["episode_id"], r["success"],
-                             f"{r['spl']:.6g}", r["num_actions"], r["num_collisions"],
-                             f"{r['path_length']:.6g}", f"{r['total_reward']:.6g}",
-                             r["termination_reason"]])
+    write_table(path, EPISODE_TYPES, rows)
 
 
 def read_episode_rows(path):
-    import csv
-
-    rows = []
-    with open(path, newline="") as f:
-        for rec in csv.DictReader(f):
-            rows.append({
-                "seed": int(rec["seed"]), "episode_id": int(rec["episode_id"]),
-                "success": int(rec["success"]), "spl": float(rec["spl"]),
-                "num_actions": int(rec["num_actions"]),
-                "num_collisions": int(rec["num_collisions"]),
-                "path_length": float(rec["path_length"]),
-                "total_reward": float(rec["total_reward"]),
-                "termination_reason": rec["termination_reason"],
-            })
-    return rows
+    return read_table(path, EPISODE_TYPES)
 
 
 def save_run(out_dir, summary, rows):
@@ -300,12 +275,11 @@ class GapTable:
 
     labels: list
     sr: dict
-    gaps: np.ndarray = field(default=None)
+    gaps: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.gaps is None:
-            vals = np.array([self.sr[l] for l in self.labels])
-            self.gaps = vals[:, None] - vals[None, :]
+        vals = np.array([self.sr[l] for l in self.labels])
+        self.gaps = vals[:, None] - vals[None, :]
 
     def gap(self, row_label, col_label):
         i = self.labels.index(row_label)

@@ -5,11 +5,11 @@ import numpy as np
 from .world import OccupancyGrid
 
 
-def random_maze(width, height, cell_size, seed, corridor=3, braid=0.15):
-    """Perfect maze carved on a coarse lattice, with optional extra loops.
+def random_maze(width, height, cell_size, seed, corridor=3):
+    """Perfect maze carved on a coarse lattice, with extra loops braided in.
 
-    Corridors are `corridor` cells wide with 1-cell walls; `braid` is the
-    fraction of removable interior walls knocked out to create loops.
+    Corridors are `corridor` cells wide with 1-cell walls; 15 % of the
+    removable interior walls are knocked out to create loops.
     Deterministic for a given seed.
     """
     rng = np.random.default_rng(seed)
@@ -51,18 +51,17 @@ def random_maze(width, height, cell_size, seed, corridor=3, braid=0.15):
         carve_wall(mx, my, nx, ny)
         stack.append((nx, ny))
 
-    if braid > 0:
-        walls = []
-        for my in range(mh):
-            for mx in range(mw):
-                if mx + 1 < mw:
-                    walls.append((mx, my, mx + 1, my))
-                if my + 1 < mh:
-                    walls.append((mx, my, mx, my + 1))
-        keep = rng.random(len(walls)) < braid
-        for (mx, my, nx, ny), knock in zip(walls, keep):
-            if knock:
-                carve_wall(mx, my, nx, ny)
+    walls = []
+    for my in range(mh):
+        for mx in range(mw):
+            if mx + 1 < mw:
+                walls.append((mx, my, mx + 1, my))
+            if my + 1 < mh:
+                walls.append((mx, my, mx, my + 1))
+    knocked = rng.random(len(walls)) < 0.15
+    for (mx, my, nx, ny), knock in zip(walls, knocked):
+        if knock:
+            carve_wall(mx, my, nx, ny)
 
     return OccupancyGrid(cells, cell_size)
 

@@ -8,6 +8,7 @@ from importlib import resources
 import numpy as np
 
 from .motion import VelocityCommand
+from .tables import opened
 
 DEG_PER_S = "deg_per_s"
 RAD_PER_S = "rad_per_s"
@@ -97,6 +98,9 @@ def fit_noise_model(log, mode):
 
 # -- flat key/value document ----------------------------------------------
 
+# every key of a noise file, in file order, with its number of values
+_KEY_VALUES = {"mode": 1, "units": 1, "mu": 3, "sigma": 3, "sample_count": 1}
+
 
 def save_noise_model(model, path_or_stream):
     """Serialize with fixed key order and 6 significant digits."""
@@ -113,40 +117,40 @@ def save_noise_model(model, path_or_stream):
         f"sample_count {model.sample_count}",
     ]
     text = "\n".join(lines) + "\n"
-    if hasattr(path_or_stream, "write"):
-        path_or_stream.write(text)
-    else:
-        with open(path_or_stream, "w") as f:
-            f.write(text)
+    with opened(path_or_stream, "w") as f:
+        f.write(text)
     return text
 
 
 def load_noise_model(path_or_stream):
-    """Parse a noise-model document; degrees are converted to radians on load."""
-    if hasattr(path_or_stream, "read"):
-        text = path_or_stream.read()
-    else:
-        with open(path_or_stream) as f:
-            text = f.read()
+    """Parse a noise-model document; degrees are converted to radians on load.
+
+    Each key of _KEY_VALUES must appear once with its number of values, and no other key.
+    """
+    with opened(path_or_stream, "r") as f:
+        text = f.read()
     fields = {}
     for i, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        parts = line.split()
-        key, vals = parts[0], parts[1:]
-        if not vals:
-            raise NoiseFileError(f"line {i}: key {key!r} has no value")
+        key, *vals = line.split()
+        if key not in _KEY_VALUES:
+            raise NoiseFileError(f"line {i}: unknown key {key!r}")
+        if len(vals) != _KEY_VALUES[key]:
+            got = f"{len(vals)} values" if vals else "no value"
+            raise NoiseFileError(
+                f"line {i}: key {key!r} has {got}, expected {_KEY_VALUES[key]}")
         if key in fields:
             raise NoiseFileError(f"line {i}: duplicate key {key!r}")
         fields[key] = vals
-    missing = {"mode", "units", "mu", "sigma", "sample_count"} - fields.keys()
+    missing = _KEY_VALUES.keys() - fields.keys()
     if missing:
         raise NoiseFileError(f"missing keys: {sorted(missing)}")
     try:
         mu = np.array([float(v) for v in fields["mu"]])
         sigma = np.array([float(v) for v in fields["sigma"]])
         count = int(fields["sample_count"][0])
-    except (ValueError, IndexError):
+    except ValueError:
         raise NoiseFileError("invalid numeric field") from None
     units = fields["units"][0]
     if units == DEG_PER_S:

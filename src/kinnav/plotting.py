@@ -7,29 +7,30 @@ class PlotError(ValueError):
 
 _SUCCESS_COLOR = "#2a9d57"
 _FAILURE_COLOR = "#d33f3f"
+_SCALE = 32.0  # SVG pixels per meter
 
 
-def emit_plot(grid, trajectories=(), start=None, goal=None, scale=32.0):
+def emit_plot(grid, trajectories=(), start=None, goal=None):
     """Render the map plus trajectory polylines as an SVG document string.
 
     `trajectories` is a sequence of (records, success) pairs as produced by the
     episode loop; byte-identical output for identical inputs.
     """
     x0, y0, x1, y1 = grid.extent
-    w = (x1 - x0) * scale
-    h = (y1 - y0) * scale
+    w = (x1 - x0) * _SCALE
+    h = (y1 - y0) * _SCALE
 
     def sx(x):
-        return (x - x0) * scale
+        return (x - x0) * _SCALE
 
     def sy(y):
         # text row order: world y grows downward in the image
-        return (y - y0) * scale
+        return (y - y0) * _SCALE
 
     out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{w:.6g}" height="{h:.6g}" '
            f'viewBox="0 0 {w:.6g} {h:.6g}">',
            f'<rect width="{w:.6g}" height="{h:.6g}" fill="#ffffff"/>']
-    cs = grid.cell_size * scale
+    cs = grid.cell_size * _SCALE
     for iy in range(grid.height):
         for ix in range(grid.width):
             if grid.cells[iy, ix]:

@@ -1,6 +1,5 @@
 """PointGoal episode loop: observations, reward, termination, and metrics."""
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -10,14 +9,17 @@ from . import world as world_mod
 from .motion import (Pose, VelocityCommand, clamp_command, dynamic_lite_step,
                      kinematic_step, wrap_angle)
 from .noise import apply_noise
+from .tables import read_table, write_table
 
 # Real-world protocol: a step counts as a collision when the footprint comes
 # within this margin of any obstacle.
 PROXIMITY_MARGIN = 0.20
 
-TRAJ_FIELDS = ("step", "x", "y", "theta", "cmd_vx", "cmd_vy", "cmd_w",
-               "applied_vx", "applied_vy", "applied_w", "dgeo", "reward",
-               "blocked", "clearance")
+TRAJ_TYPES = {"step": int, "x": float, "y": float, "theta": float,
+              "cmd_vx": float, "cmd_vy": float, "cmd_w": float,
+              "applied_vx": float, "applied_vy": float, "applied_w": float,
+              "dgeo": float, "reward": float, "blocked": int, "clearance": float}
+TRAJ_FIELDS = tuple(TRAJ_TYPES)
 
 
 class EpisodeFinishedError(RuntimeError):
@@ -48,6 +50,9 @@ class RewardConfig:
     success: float = 10.0
     slack: float = -0.002
     backward: float = -0.03
+
+
+_REWARD = RewardConfig()
 
 
 @dataclass(frozen=True)
@@ -143,8 +148,9 @@ class NavEnv:
 
     Owned by a single execution context at a time; stepping is synchronous.
     The agent issues a VelocityCommand (or AgentAction with a stop flag) once
-    per control period `dt`. step() returns an info dict with the keys
-    "blocked", "dgeo", "r_geo" and "reason".
+    per 1 s control period, and the reward uses the default RewardConfig().
+    step() returns an info dict with the keys "blocked", "dgeo", "r_geo" and
+    "reason".
 
     dyn_config selects the backend: None steps the kinematic backend, and a
     DynamicLiteConfig steps dynamic-lite with that config.
@@ -155,7 +161,7 @@ class NavEnv:
     """
 
     def __init__(self, grid, spec, dyn_config=None, noise_model=None, rng=None,
-                 sensor=None, reward_cfg=None, dt=1.0, record_trajectory=False):
+                 sensor=None, record_trajectory=False):
         if noise_model is not None and rng is None:
             raise ValueError("noise injection needs an rng")
         self.grid = grid
@@ -164,8 +170,6 @@ class NavEnv:
         self.noise_model = noise_model
         self.rng = rng
         self.sensor = sensor or SensorConfig()
-        self.reward_cfg = reward_cfg or RewardConfig()
-        self.dt = dt
         self.record_trajectory = record_trajectory
         self._checker = grid.collision_checker(spec.footprint_radius)
         self.episode = None
@@ -222,11 +226,11 @@ class NavEnv:
                 applied = apply_noise(cmd, self.noise_model, self.rng)
             if self.dyn_config is None:
                 new_pose, blocked = kinematic_step(
-                    self.grid, self.pose, applied, self.dt, self.spec)
+                    self.grid, self.pose, applied, 1.0, self.spec)
             else:
                 new_pose, self.actual_vel, events = dynamic_lite_step(
                     self.grid, self.pose, self.actual_vel, applied,
-                    self.dyn_config, self.spec, dt=self.dt)
+                    self.dyn_config, self.spec)
                 applied = self.actual_vel
                 # every event list opens with a contact, and a fall ends it
                 blocked = bool(events)
@@ -251,7 +255,7 @@ class NavEnv:
         elif self.num_actions >= self.spec.max_steps:
             self.done, self.reason = True, "step_budget"
 
-        r = reward(self.prev_dgeo, new_dgeo, blocked, cmd, terminal, self.reward_cfg)
+        r = reward(self.prev_dgeo, new_dgeo, blocked, cmd, terminal, _REWARD)
         r_geo = self.prev_dgeo - new_dgeo
         self.prev_dgeo = new_dgeo
         self.total_reward += r
@@ -286,34 +290,9 @@ class NavEnv:
 
 
 def write_trajectory(records, path_or_stream):
-    """CSV trajectory log, one row per step, 6 significant digits."""
-    def _write(f):
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(TRAJ_FIELDS)
-        for rec in records:
-            writer.writerow([rec["step"]] +
-                            [f"{rec[k]:.6g}" for k in TRAJ_FIELDS[1:12]] +
-                            [rec["blocked"], f"{rec['clearance']:.6g}"])
-
-    if hasattr(path_or_stream, "write"):
-        _write(path_or_stream)
-    else:
-        with open(path_or_stream, "w", newline="") as f:
-            _write(f)
+    """CSV trajectory log, one TRAJ_TYPES row per step."""
+    write_table(path_or_stream, TRAJ_TYPES, records)
 
 
 def read_trajectory(path_or_stream):
-    def _read(f):
-        rows = list(csv.DictReader(f))
-        out = []
-        for row in rows:
-            rec = {k: float(row[k]) for k in TRAJ_FIELDS if k not in ("step", "blocked")}
-            rec["step"] = int(row["step"])
-            rec["blocked"] = int(row["blocked"])
-            out.append(rec)
-        return out
-
-    if hasattr(path_or_stream, "read"):
-        return _read(path_or_stream)
-    with open(path_or_stream, newline="") as f:
-        return _read(f)
+    return read_table(path_or_stream, TRAJ_TYPES)

@@ -130,6 +130,37 @@ def test_fit_noise_names_missing_column(workspace, capsys):
     assert "missing column(s) meas_w" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("row, message", [
+    ([0.2, 0.0, 0.0], "line 3 has too few values"),
+    ([0.2, 0.0, 0.0, 0.21, 0.0, 0.0, 7], "line 3 has too many values"),
+], ids=["short", "long"])
+def test_fit_noise_rejects_bad_row(workspace, capsys, row, message):
+    root, map_path = workspace
+    log_path = str(root / "bad_row.csv")
+    with open(log_path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["cmd_vx", "cmd_vy", "cmd_w", "meas_vx", "meas_vy", "meas_w"])
+        w.writerows([[0.1, 0.0, 0.0, 0.11, 0.01, 0.0], row, [0.1, 0.0, 0.0, 0.1, 0.0, 0.0]])
+    assert main(["fit-noise", "--log", log_path, "--mode", "coupled",
+                 "--out", str(root / "bad_row.noise")]) == 2
+    assert f"error: {log_path}: {message}" in capsys.readouterr().err
+
+
+def test_gap_rejects_truncated_episodes(workspace, capsys):
+    root, map_path = workspace
+    ds = str(root / "trunc_eps.jsonl")
+    assert main(["gen-episodes", "--map", map_path, "--n", "2", "--out", ds]) == 0
+    run_dir = root / "trunc_results" / "kin"
+    assert main(["run", "--map", map_path, "--dataset", ds, "--seeds", "0",
+                 "--out", str(run_dir)]) == 0
+    csv_path = run_dir / "episodes.csv"
+    text = csv_path.read_text()
+    csv_path.write_text(text[:text.rindex(",")] + "\n")  # no termination_reason
+    capsys.readouterr()
+    assert main(["gap", "--results", str(root / "trunc_results")]) == 2
+    assert f"error: {csv_path}: line 3 has too few values" in capsys.readouterr().err
+
+
 def test_error_exit_code(workspace, capsys):
     root, map_path = workspace
     assert main(["gen-episodes", "--map", str(root / "missing.map"),

@@ -98,11 +98,11 @@ class RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
-        items = list(items)
+    def map(self, fn, *iterables):
+        items = list(zip(*iterables))
         RecordingPool.calls.append(len(items))
         RecordingPool.chunks.extend(pairs for _, pairs, _ in items)
-        return [fn(item) for item in items]
+        return [fn(*item) for item in items]
 
 
 def read_dir(path):
@@ -257,6 +257,22 @@ def test_save_load_run_roundtrip(small_setup, tmp_path):
         assert (a["seed"], a["episode_id"], a["success"]) == \
             (b["seed"], b["episode_id"], b["success"])
         assert b["spl"] == pytest.approx(a["spl"], rel=1e-5)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: lines[:-1] + [lines[-1].rsplit(",", 1)[0]], "line 9 has too few values"),
+    (lambda lines: lines[:2] + [lines[2] + ",x"] + lines[3:], "line 3 has too many values"),
+    (lambda lines: [lines[0].replace(",spl,", ",")] + lines[1:], "missing column(s) spl"),
+], ids=["short", "long", "missing"])
+def test_read_episode_rows_rejects_bad_rows(small_setup, tmp_path, edit, message):
+    root, grid, map_path, ds_path = small_setup
+    summary, rows = run_batch(EvalConfig(map_path, ds_path, seeds=(0,)))
+    path = tmp_path / "episodes.csv"
+    harness.write_episode_rows(rows, str(path))
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    with pytest.raises(ValueError) as exc:
+        harness.read_episode_rows(str(path))
+    assert str(exc.value) == f"{path}: {message}"
 
 
 def test_gap_zero_for_identical_runs(small_setup):

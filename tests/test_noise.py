@@ -149,6 +149,18 @@ def test_load_errors():
     with pytest.raises(NoiseFileError, match="numeric"):
         load_noise_model(io.StringIO(
             "mode coupled\nunits rad_per_s\nmu a b c\nsigma 0 0 0\nsample_count 1\n"))
+    good = ["mode coupled", "units rad_per_s", "mu 0 0 0", "sigma 0 0 0", "sample_count 2"]
+    for i, line, message in [
+            (0, "mode coupled extra", "line 1: key 'mode' has 2 values, expected 1"),
+            (1, "units rad_per_s 7", "line 2: key 'units' has 2 values, expected 1"),
+            (4, "sample_count 2 9", "line 5: key 'sample_count' has 2 values, expected 1"),
+            (2, "mu 0 0", "line 3: key 'mu' has 2 values, expected 3"),
+            (3, "sigma 0 0 0 0", "line 4: key 'sigma' has 4 values, expected 3"),
+            (4, "sample_count 2\nbogus 1", "line 6: unknown key 'bogus'")]:
+        lines = good[:i] + [line] + good[i + 1:]
+        with pytest.raises(NoiseFileError) as exc:
+            load_noise_model(io.StringIO("\n".join(lines) + "\n"))
+        assert str(exc.value) == message
 
 
 def test_reference_models_match_table():

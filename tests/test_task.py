@@ -324,6 +324,28 @@ def test_trajectory_roundtrip():
         assert b["blocked"] == a["blocked"]
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: lines[:3] + [lines[3].rsplit(",", 1)[0]] + lines[4:],
+     "line 4 has too few values"),
+    (lambda lines: lines[:3] + [lines[3] + ",0"] + lines[4:], "line 4 has too many values"),
+    (lambda lines: [lines[0].replace("dgeo", "dgeo_m")] + lines[1:], "missing column(s) dgeo"),
+], ids=["short", "long", "missing"])
+def test_read_trajectory_rejects_bad_rows(tmp_path, edit, message):
+    grid = open_grid()
+    goal = (25.5, 20.5)
+    field = distance_field(grid, goal, SPOT.footprint_radius)
+    env = NavEnv(grid, SPOT, record_trajectory=True)
+    env.reset(make_episode(Pose(20.5, 20.5, 0.0), goal, field), field)
+    for _ in range(4):
+        env.step(VelocityCommand(0.5, 0.0, 0.1))
+    path = tmp_path / "traj.csv"
+    write_trajectory(env.result().trajectory, str(path))
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    with pytest.raises(ValueError) as exc:
+        read_trajectory(str(path))
+    assert str(exc.value) == f"{path}: {message}"
+
+
 def test_env_rejects_bad_config():
     grid = open_grid()
     with pytest.raises(ValueError):
