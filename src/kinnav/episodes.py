@@ -151,6 +151,7 @@ def write_dataset(ds, path_or_stream):
 
 
 def read_dataset(path_or_stream):
+    """Parse a dataset: ids dense from 0, each geodesic_distance positive and finite."""
     with opened(path_or_stream, "r") as f:
         text = f.read()
     lines = [ln for ln in text.splitlines() if ln.strip()]
@@ -177,6 +178,9 @@ def read_dataset(path_or_stream):
             ))
         except (json.JSONDecodeError, KeyError, TypeError, ValueError, IndexError):
             raise DatasetError(f"line {i}: malformed episode record") from None
+        if not 0 < episodes[-1].geodesic_distance < math.inf:
+            raise DatasetError(f"line {i}: geodesic_distance must be positive and finite, "
+                               f"got {episodes[-1].geodesic_distance}")
     ids = [ep.episode_id for ep in episodes]
     if ids != list(range(len(ids))):
         raise DatasetError("episode ids must be unique and dense from 0")

@@ -14,7 +14,7 @@ from . import episodes as episodes_mod
 from . import noise as noise_mod
 from . import world as world_mod
 from .agents import OracleAgent, RandomAgent
-from .motion import PROFILES, VelocityCommand, dynamic_lite_step, kinematic_step
+from .motion import PROFILES, Pose, VelocityCommand, dynamic_lite_step, kinematic_step
 from .robots import ROBOTS, get_robot
 from .tables import read_table, write_table
 from .task import NavEnv, SensorConfig, write_trajectory
@@ -27,7 +27,10 @@ _RNG_AGENT = 1
 BACKENDS = {"kinematic": None,
             "dynlite-a": PROFILES["profile-A"],
             "dynlite-b": PROFILES["profile-B"]}
-AGENTS = ("oracle", "random")
+# agent name -> factory (dist_field, spec, stream) -> agent; stream() opens the
+# agent's own RNG stream, keyed (seed, episode_id, _RNG_AGENT)
+AGENTS = {"oracle": lambda dist_field, spec, stream: OracleAgent(dist_field, spec),
+          "random": lambda dist_field, spec, stream: RandomAgent(spec, stream())}
 
 EPISODE_TYPES = {"seed": int, "episode_id": int, "success": int, "spl": float,
                  "num_actions": int, "num_collisions": int, "path_length": float,
@@ -95,48 +98,37 @@ def _run_pairs(config, pairs, traj_dir=None):
     Pairs are evaluated grouped by goal, so only one distance field is alive
     at a time, and by episode, so the seeds of one episode run back to back.
     Every RNG stream is keyed by (seed, episode_id, purpose), so the order
-    changes no result. A condition that draws from no stream (`seed_free`)
-    rolls each episode out once and gives every seed a copy of that row and
-    trajectory. Rows come back in evaluation order.
+    changes no result. A rollout that opens no stream (no noise model, and
+    an agent that never calls `stream()`) depends on no seed, so the later
+    seeds of its episode get copies of its row and trajectory. Rows come back
+    in evaluation order.
     """
     grid, dataset, spec, noise, _ = _context(config)
-    by_id = {ep.episode_id: ep for ep in dataset.episodes}
-    jobs = []
-    for seed, episode_id in pairs:
-        try:
-            episode = by_id[episode_id]
-        except KeyError:
-            raise ConfigError(f"dataset has no episode {episode_id}") from None
-        if episode.geodesic_distance <= 0:
-            raise ConfigError(f"episode {episode_id} has non-positive geodesic distance")
-        goal_key = (round(episode.goal[0], 9), round(episode.goal[1], 9))
-        jobs.append((goal_key, episode_id, seed, episode))
-    jobs.sort(key=lambda job: job[:2])
-    # the streams built below are the noise stream (only with a noise model)
-    # and the random agent's; with neither, every seed replays one rollout
-    seed_free = not noise and config.agent == "oracle"
-    field_key = dist_field = row = None
+    make_agent = AGENTS[config.agent]
+    jobs = sorted((dataset.episodes[episode_id].goal, episode_id, seed)
+                  for seed, episode_id in pairs)
+    field_goal = dist_field = replay = None
     rows = []
-    for goal_key, episode_id, seed, episode in jobs:
-        if seed_free and row is not None and row["episode_id"] == episode_id:
-            row = dict(row, seed=seed)
+    for goal, episode_id, seed in jobs:
+        if replay is not None and replay["episode_id"] == episode_id:
+            row = dict(replay, seed=seed)
         else:
-            if goal_key != field_key:
-                field_key = goal_key
-                dist_field = world_mod.distance_field(grid, episode.goal,
-                                                      spec.footprint_radius)
-            rng_noise = np.random.default_rng(
-                np.random.SeedSequence([seed, episode_id, _RNG_NOISE])) if noise else None
+            if goal != field_goal:
+                field_goal = goal
+                dist_field = world_mod.distance_field(grid, goal, spec.footprint_radius)
+            opened = []  # purposes of the streams this rollout opens
+
+            def stream(purpose=_RNG_AGENT):
+                opened.append(purpose)
+                return np.random.default_rng(
+                    np.random.SeedSequence([seed, episode_id, purpose]))
+
             env = NavEnv(grid, spec, dyn_config=BACKENDS[config.backend],
-                         noise_model=noise, rng=rng_noise,
+                         noise_model=noise, rng=stream(_RNG_NOISE) if noise else None,
                          sensor=SensorConfig(expose_pose=True),
                          record_trajectory=bool(traj_dir))
-            if config.agent == "oracle":
-                agent = OracleAgent(dist_field, spec)
-            else:
-                agent = RandomAgent(spec, np.random.default_rng(
-                    np.random.SeedSequence([seed, episode_id, _RNG_AGENT])))
-            obs = env.reset(episode, dist_field)
+            agent = make_agent(dist_field, spec, stream)
+            obs = env.reset(dataset.episodes[episode_id], dist_field)
             memory = agent.reset()
             done = False
             while not done:
@@ -150,6 +142,7 @@ def _run_pairs(config, pairs, traj_dir=None):
                 "total_reward": res.total_reward,
                 "termination_reason": res.termination_reason,
             }
+            replay = None if opened else row  # no stream opened: the same for every seed
         rows.append(row)
         if traj_dir:
             path = os.path.join(traj_dir, f"traj_s{seed}_e{episode_id}.csv")
@@ -160,11 +153,9 @@ def _run_pairs(config, pairs, traj_dir=None):
 def run_batch(config, traj_dir=None):
     """Run every (episode x seed) pair; results are independent of worker count.
 
-    A condition with no noise model and the oracle agent draws from no RNG
-    stream, so its rollout is the same for every seed: each episode is then
-    simulated once, and every seed still gets its own row and trajectory.
-    Noise and random-agent conditions simulate every pair. Workers receive
-    whole episodes, all seeds of one episode in the same chunk.
+    An episode whose rollout opens no RNG stream is simulated once (see
+    _run_pairs); every seed still gets its own row and trajectory. Workers
+    receive whole episodes, all seeds of one episode in the same chunk.
 
     With traj_dir, each pair's trajectory is written there as
     traj_s<seed>_e<episode_id>.csv, by whichever worker evaluates it.
@@ -214,10 +205,8 @@ def _summarize(config, rows, dataset_sha256):
 
 
 def _sha256(path):
-    h = hashlib.sha256()
     with open(path, "rb") as f:
-        h.update(f.read())
-    return h.hexdigest()
+        return hashlib.sha256(f.read()).hexdigest()
 
 
 # -- result persistence -----------------------------------------------------
@@ -304,17 +293,20 @@ class GapTable:
 def sim2sim_gap(results_by_label):
     """Build a GapTable from {label: (summary, rows)} pairs.
 
-    Refuses to compare runs evaluated on different datasets or seed sets.
+    Refuses to compare runs evaluated on different datasets or seed sets, or
+    runs whose summary does not record them.
     """
     labels = sorted(results_by_label)
     ref = None
     sr = {}
     for label in labels:
         summary, rows = results_by_label[label]
+        for k in ("dataset_sha256", "seeds"):
+            if k not in summary:
+                raise DatasetMismatchError(f"run {label!r} has no {k!r} in its summary")
         key = (summary["dataset_sha256"], summary["seeds"])
-        if ref is None:
-            ref = key
-        elif key != ref:
+        ref = ref or key
+        if key != ref:
             raise DatasetMismatchError(
                 f"run {label!r} used a different dataset or seeds")
         if not rows:
@@ -345,9 +337,6 @@ def bench_throughput(grid, spec, backends=BACKENDS, steps=2000, warmup=1000,
         rng.uniform(-spec.lin_limit, spec.lin_limit, total),
         rng.uniform(-spec.lin_limit, spec.lin_limit, total),
         rng.uniform(-spec.ang_limit, spec.ang_limit, total)])]
-
-    from .motion import Pose
-
     results = {}
     for backend in backends:
         pose = Pose(start[0], start[1], 0.0)

@@ -45,6 +45,9 @@ class NoiseModel:
             raise ValueError(f"mode must be coupled or decoupled, got {self.mode!r}")
         if self.mu.shape != (3,) or self.sigma.shape != (3,):
             raise ValueError("mu and sigma must be 3-vectors")
+        if not (np.isfinite(self.mu).all() and np.isfinite(self.sigma).all()):
+            raise ValueError(f"mu and sigma must be finite, got mu {self.mu.tolist()}, "
+                             f"sigma {self.sigma.tolist()}")
         if np.any(self.sigma < 0):
             raise ValueError("sigma must be non-negative")
         if self.angular_units not in (DEG_PER_S, RAD_PER_S):
@@ -98,8 +101,10 @@ def fit_noise_model(log, mode):
 
 # -- flat key/value document ----------------------------------------------
 
-# every key of a noise file, in file order, with its number of values
-_KEY_VALUES = {"mode": 1, "units": 1, "mu": 3, "sigma": 3, "sample_count": 1}
+# every key of a noise file, in file order, with its number of values and their type
+_KEY_VALUES = {"mode": (1, str), "units": (1, str), "mu": (3, float), "sigma": (3, float),
+               "sample_count": (1, int)}
+_TYPE_NAMES = {float: "numeric", int: "integer"}
 
 
 def save_noise_model(model, path_or_stream):
@@ -125,7 +130,8 @@ def save_noise_model(model, path_or_stream):
 def load_noise_model(path_or_stream):
     """Parse a noise-model document; degrees are converted to radians on load.
 
-    Each key of _KEY_VALUES must appear once with its number of values, and no other key.
+    Each key of _KEY_VALUES must appear once with its number of values of its
+    type, and no other key.
     """
     with opened(path_or_stream, "r") as f:
         text = f.read()
@@ -136,29 +142,28 @@ def load_noise_model(path_or_stream):
         key, *vals = line.split()
         if key not in _KEY_VALUES:
             raise NoiseFileError(f"line {i}: unknown key {key!r}")
-        if len(vals) != _KEY_VALUES[key]:
+        count, kind = _KEY_VALUES[key]
+        if len(vals) != count:
             got = f"{len(vals)} values" if vals else "no value"
-            raise NoiseFileError(
-                f"line {i}: key {key!r} has {got}, expected {_KEY_VALUES[key]}")
+            raise NoiseFileError(f"line {i}: key {key!r} has {got}, expected {count}")
         if key in fields:
             raise NoiseFileError(f"line {i}: duplicate key {key!r}")
-        fields[key] = vals
+        try:
+            fields[key] = [kind(v) for v in vals]
+        except ValueError:
+            raise NoiseFileError(
+                f"line {i}: key {key!r} has a non-{_TYPE_NAMES[kind]} value") from None
     missing = _KEY_VALUES.keys() - fields.keys()
     if missing:
         raise NoiseFileError(f"missing keys: {sorted(missing)}")
-    try:
-        mu = np.array([float(v) for v in fields["mu"]])
-        sigma = np.array([float(v) for v in fields["sigma"]])
-        count = int(fields["sample_count"][0])
-    except ValueError:
-        raise NoiseFileError("invalid numeric field") from None
+    mu = np.array(fields["mu"])
+    sigma = np.array(fields["sigma"])
     units = fields["units"][0]
     if units == DEG_PER_S:
-        mu = mu.copy()
-        sigma = sigma.copy()
         mu[2] = math.radians(mu[2])
         sigma[2] = math.radians(sigma[2])
-    return NoiseModel(fields["mode"][0], mu, sigma, sample_count=count, angular_units=units)
+    return NoiseModel(fields["mode"][0], mu, sigma, sample_count=fields["sample_count"][0],
+                      angular_units=units)
 
 
 def reference_model(mode):

@@ -177,3 +177,35 @@ def test_run_rejects_duplicate_seeds(workspace, capsys):
                  "--out", str(root / "dup")]) == 2
     assert "duplicate seeds" in capsys.readouterr().err
     assert not os.path.exists(str(root / "dup"))
+
+
+@pytest.mark.parametrize("key", ["dataset_sha256", "seeds"])
+def test_gap_names_missing_summary_key(workspace, capsys, key):
+    root, map_path = workspace
+    ds = str(root / "nokey_eps.jsonl")
+    assert main(["gen-episodes", "--map", map_path, "--n", "2", "--out", ds]) == 0
+    results = root / f"nokey_{key}"
+    for backend in ("kinematic", "dynlite-a"):
+        assert main(["run", "--map", map_path, "--dataset", ds, "--seeds", "0",
+                     "--backend", backend, "--out", str(results / backend)]) == 0
+    summary = results / "kinematic" / "summary.kv"
+    lines = summary.read_text().splitlines()
+    summary.write_text("".join(f"{ln}\n" for ln in lines if not ln.startswith(key + " ")))
+    capsys.readouterr()
+    assert main(["gap", "--results", str(results)]) == 2
+    assert (f"error: run 'spot-kinematic-oracle' has no '{key}' in its summary"
+            in capsys.readouterr().err)
+
+
+def test_run_rejects_non_finite_noise(workspace, capsys):
+    root, map_path = workspace
+    ds = str(root / "nan_eps.jsonl")
+    assert main(["gen-episodes", "--map", map_path, "--n", "1", "--out", ds]) == 0
+    noise_path = str(root / "nan.noise")
+    with open(noise_path, "w") as f:
+        f.write("mode coupled\nunits rad_per_s\nmu 0 0 0\nsigma 0 nan 0\nsample_count 2\n")
+    capsys.readouterr()
+    assert main(["run", "--map", map_path, "--dataset", ds, "--noise", noise_path,
+                 "--seeds", "0", "--out", str(root / "nan_run")]) == 2
+    assert "error: mu and sigma must be finite" in capsys.readouterr().err
+    assert not os.path.exists(str(root / "nan_run"))

@@ -156,3 +156,15 @@ def test_dataset_parse_errors():
     dup = good
     with pytest.raises(DatasetError, match="dense"):
         read_dataset(io.StringIO("\n".join([header, good, dup]) + "\n"))
+
+
+@pytest.mark.parametrize("geodesic, shown", [("0", "0.0"), ("-1", "-1.0"), ("NaN", "nan"),
+                                             ("Infinity", "inf")])
+def test_dataset_rejects_non_positive_or_non_finite_geodesic(geodesic, shown):
+    header = '{"scene_id":"s","robot":"spot","seed":0,"ratio_min":1.1}'
+    good = '{"episode_id":0,"scene_id":"s","start":[1,1,0],"goal":[3,3],"geodesic_distance":4}'
+    bad = good.replace('"episode_id":0', '"episode_id":1').replace(":4}", f":{geodesic}}}")
+    with pytest.raises(DatasetError) as exc:
+        read_dataset(io.StringIO("\n".join([header, good, bad]) + "\n"))
+    assert str(exc.value) == \
+        f"line 3: geodesic_distance must be positive and finite, got {shown}"

@@ -5,11 +5,13 @@ from dataclasses import replace
 import pytest
 
 from kinnav import harness
+from kinnav.agents import ConstantAgent
 from kinnav.episodes import sample_episodes, write_dataset
 from kinnav.harness import (BACKENDS, ConfigError, DatasetMismatchError,
                             EvalConfig, GapTable, bench_throughput, load_run,
                             run_batch, save_run, sim2sim_gap)
 from kinnav.maps import random_maze
+from kinnav.motion import VelocityCommand
 from kinnav.plotting import PlotError, emit_plot
 from kinnav.robots import SPOT
 from kinnav.task import NavEnv
@@ -228,6 +230,50 @@ def test_workers_receive_whole_episodes(mazes, tmp_path, monkeypatch, agent):
     assert len(chunk_ids) > 1
     assert sum(len(ids) for ids in chunk_ids) == len(set().union(*chunk_ids)) == 11
     assert runs[1] == runs[2]
+
+
+def steady_agent(dist_field, spec, stream):
+    """Registry factory of a deterministic agent that opens no stream."""
+    return ConstantAgent(VelocityCommand(0.3, 0.1, 0.2))
+
+
+def stream_opening_agent(dist_field, spec, stream):
+    """The same agent, but it opens its stream (and never draws from it)."""
+    stream()
+    return steady_agent(dist_field, spec, stream)
+
+
+def rows_by_seed(rows, seeds):
+    return [[{k: v for k, v in r.items() if k != "seed"} for r in rows if r["seed"] == seed]
+            for seed in seeds]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_registered_agent_without_stream_rolls_out_once(mazes, monkeypatch, workers):
+    map_path, ds_path = mazes[0.25]
+    monkeypatch.setitem(harness.AGENTS, "steady", steady_agent)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    _, once = counted_run(monkeypatch, EvalConfig(map_path, ds_path, agent="steady",
+                                                  seeds=(0,)))
+    RecordingPool.calls = []
+    rows, calls = counted_run(monkeypatch, EvalConfig(map_path, ds_path, agent="steady",
+                                                      seeds=(0, 1, 2), workers=workers))
+    assert RecordingPool.calls == ([] if workers == 1 else [8])
+    assert calls == once > 0
+    first, *others = rows_by_seed(rows, (0, 1, 2))
+    assert len(first) == 11 and others == [first, first]
+
+
+def test_registered_agent_opening_a_stream_runs_every_seed(mazes, monkeypatch):
+    map_path, ds_path = mazes[0.25]
+    monkeypatch.setitem(harness.AGENTS, "opens-stream", stream_opening_agent)
+    _, once = counted_run(monkeypatch, EvalConfig(map_path, ds_path, agent="opens-stream",
+                                                  seeds=(0,)))
+    rows, calls = counted_run(monkeypatch, EvalConfig(map_path, ds_path, agent="opens-stream",
+                                                      seeds=(0, 1, 2)))
+    assert calls == 3 * once > 0
+    first, *others = rows_by_seed(rows, (0, 1, 2))
+    assert len(first) == 11 and others == [first, first]
 
 
 def test_rewritten_dataset_is_reread(small_setup, tmp_path):

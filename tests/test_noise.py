@@ -31,6 +31,21 @@ def test_model_invariants():
         NoiseModel("coupled", np.zeros(3), [-0.1, 0, 0])
 
 
+@pytest.mark.parametrize("key", ["mu", "sigma"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_parameters_rejected(key, value):
+    params = {"mu": [0.0, 0.0, 0.0], "sigma": [0.1, 0.1, 0.1]}
+    params[key][1] = float(value)
+    with pytest.raises(ValueError, match="must be finite"):
+        NoiseModel("coupled", params["mu"], params["sigma"])
+    lines = {"mu": "mu 0 0 0", "sigma": "sigma 0.1 0.1 0.1"}
+    lines[key] = f"{key} 0 {value} 0"
+    text = "\n".join(["mode coupled", "units rad_per_s", lines["mu"], lines["sigma"],
+                      "sample_count 2"]) + "\n"
+    with pytest.raises(ValueError, match="must be finite"):
+        load_noise_model(io.StringIO(text))
+
+
 def test_apply_noise_mean_shift():
     model = NoiseModel("coupled",
                        [0.002, -0.004, math.radians(0.081)], np.zeros(3))
@@ -156,6 +171,8 @@ def test_load_errors():
             (4, "sample_count 2 9", "line 5: key 'sample_count' has 2 values, expected 1"),
             (2, "mu 0 0", "line 3: key 'mu' has 2 values, expected 3"),
             (3, "sigma 0 0 0 0", "line 4: key 'sigma' has 4 values, expected 3"),
+            (3, "sigma 0 x 0", "line 4: key 'sigma' has a non-numeric value"),
+            (4, "sample_count 2.5", "line 5: key 'sample_count' has a non-integer value"),
             (4, "sample_count 2\nbogus 1", "line 6: unknown key 'bogus'")]:
         lines = good[:i] + [line] + good[i + 1:]
         with pytest.raises(NoiseFileError) as exc:
