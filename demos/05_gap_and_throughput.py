@@ -4,7 +4,7 @@ Evaluates the same oracle agent on the same episodes under the kinematic
 backend and the sluggish dynamic-lite profile-B, prints the success-rate gap
 table, then benchmarks raw control-steps per second for each backend.
 
-Run with: python3 demos/05_gap_and_throughput.py  (takes ~1 min)
+Run with: python3 demos/05_gap_and_throughput.py  (takes ~15 s)
 """
 
 import os

@@ -64,6 +64,16 @@ class SensorConfig:
     max_range: float = 10.0
     expose_pose: bool = False
 
+    def __post_init__(self):
+        if (not isinstance(self.n_rays, int) or isinstance(self.n_rays, bool)
+                or self.n_rays < 1):
+            raise ValueError("n_rays must be a positive int")
+        if not (self.fov > 0 and math.isfinite(self.fov)):
+            raise ValueError("fov must be positive and finite")
+        # inf is a valid range: the closed world ends every ray
+        if not self.max_range > 0:
+            raise ValueError("max_range must be positive")
+
 
 class Observation:
     """Egocentric observation: goal polar vector plus a lazily computed depth fan.
@@ -88,10 +98,14 @@ class Observation:
 
 
 def depth_fan(grid, pose, cfg):
-    """Raycast fan over the field of view, centered on the robot heading."""
-    angles = pose.theta + np.linspace(-cfg.fov / 2, cfg.fov / 2, cfg.n_rays)
-    return np.array([world_mod.raycast(grid, (pose.x, pose.y), a, cfg.max_range)
-                     for a in angles])
+    """Raycast fan over the field of view, centered on the robot heading.
+
+    n_rays angles from pose.theta - fov / 2 to pose.theta + fov / 2
+    (counter-clockwise), each one exact `world.raycast` call from the pose.
+    """
+    angles = (pose.theta + np.linspace(-cfg.fov / 2, cfg.fov / 2, cfg.n_rays)).tolist()
+    origin = (pose.x, pose.y)
+    return np.array([world_mod.raycast(grid, origin, a, cfg.max_range) for a in angles])
 
 
 def observe(grid, pose, goal, cfg):

@@ -34,14 +34,22 @@ class OccupancyGrid:
     """
 
     def __init__(self, cells, cell_size, origin=(0.0, 0.0)):
-        cells = np.array(cells, dtype=bool)
+        cells = np.asarray(cells, dtype=bool)
         if cells.ndim != 2 or cells.shape[0] < 1 or cells.shape[1] < 1:
             raise MapError("grid must be 2D with at least one cell")
         if not cell_size > 0:
             raise MapError("cell_size must be positive")
-        cells.setflags(write=False)
-        self.cells = cells
         self.height, self.width = cells.shape
+        # occupancy as one byte per cell, row-major, inside a ring of occupied
+        # cells that marks the closed-world edge: cell (ix, iy) is byte
+        # (iy + 1) * _stride + ix + 1
+        self._stride = self.width + 2
+        padded = np.ones((self.height + 2, self._stride), dtype=bool)
+        padded[1:-1, 1:-1] = cells
+        self._occ = padded.tobytes()
+        # an array over bytes refuses writes, even through setflags, so the
+        # table cannot go stale
+        self.cells = cells = np.frombuffer(cells.tobytes(), dtype=bool).reshape(cells.shape)
         self.cell_size = float(cell_size)
         self.origin = (float(origin[0]), float(origin[1]))
 
@@ -58,13 +66,21 @@ class OccupancyGrid:
         reach = cells
         while reach.any() and not reach.all():
             ring += ~reach
-            grown = np.pad(reach, 1)
-            grown = grown[:-2] | grown[1:-1] | grown[2:]
-            reach = grown[:, :-2] | grown[:, 1:-1] | grown[:, 2:]
+            # grow reach by one cell in all eight directions
+            grown = reach.copy()
+            grown[1:] |= reach[:-1]
+            grown[:-1] |= reach[1:]
+            reach = grown.copy()
+            reach[:, 1:] |= grown[:, :-1]
+            reach[:, :-1] |= grown[:, 1:]
         self._first_ring = ring.tolist()
         self._center_clearance = None
         self._checkers = {}
         self._adjacency = {}
+
+    def __reduce__(self):
+        # rebuilt from its cells, so a copy's arrays refuse writes and its tables match
+        return OccupancyGrid, (self.cells, self.cell_size, self.origin)
 
     # -- coordinates ------------------------------------------------------
 
@@ -91,7 +107,7 @@ class OccupancyGrid:
         """Occupancy with the closed-world convention (outside counts as occupied)."""
         if ix < 0 or iy < 0 or ix >= self.width or iy >= self.height:
             return True
-        return bool(self.cells[iy, ix])
+        return self._occ[(iy + 1) * self._stride + ix + 1] != 0
 
     # -- clearance --------------------------------------------------------
 
@@ -396,22 +412,16 @@ def load_world(text):
     width = len(rows[0])
     if width == 0:
         raise MapError("line 2: zero-width map")
-    grid_rows = []
     for j, row in enumerate(rows):
         lineno = j + 2
         if len(row) != width:
             raise MapError(f"ragged row at line {lineno}")
-        cells_row = []
-        for ch in row:
-            if ch == "#":
-                cells_row.append(True)
-            elif ch == ".":
-                cells_row.append(False)
-            else:
-                raise MapError(f"line {lineno}: unknown character {ch!r}")
-        grid_rows.append(cells_row)
+        if not set(row) <= {"#", "."}:
+            ch = next(ch for ch in row if ch not in "#.")
+            raise MapError(f"line {lineno}: unknown character {ch!r}")
     # text row j is grid row j: world y grows with line number
-    cells = np.array(grid_rows, dtype=bool)
+    body = "".join(rows).encode("ascii")
+    cells = np.frombuffer(body, dtype=np.uint8).reshape(len(rows), width) == ord("#")
     return OccupancyGrid(cells, cell_size)
 
 
@@ -575,7 +585,10 @@ def distance_field(grid, goal, robot_radius):
 def raycast(grid, origin, angle, max_range):
     """Distance to the first occupied-cell boundary along a ray, capped at max_range.
 
-    Exact grid traversal (Amanatides-Woo); the closed-world edge counts as a hit.
+    Exact grid traversal (Amanatides-Woo) over the grid's padded byte table:
+    the occupied ring around the grid ends every ray at the closed-world edge,
+    so the walk steps a flat index (x by 1, y by a row) with no bounds test.
+    An origin outside the grid or in an occupied cell returns 0.0.
     """
     x, y = origin
     ix, iy = grid.world_to_cell(x, y)
@@ -585,6 +598,7 @@ def raycast(grid, origin, angle, max_range):
     dy = math.sin(angle)
     cs = grid.cell_size
     ox, oy = grid.origin
+    row = grid._stride
 
     if dx > 0:
         step_x, t_max_x = 1, (ox + (ix + 1) * cs - x) / dx
@@ -595,24 +609,26 @@ def raycast(grid, origin, angle, max_range):
     else:
         step_x, t_max_x, t_dx = 0, math.inf, math.inf
     if dy > 0:
-        step_y, t_max_y = 1, (oy + (iy + 1) * cs - y) / dy
+        step_y, t_max_y = row, (oy + (iy + 1) * cs - y) / dy
         t_dy = cs / dy
     elif dy < 0:
-        step_y, t_max_y = -1, (oy + iy * cs - y) / dy
+        step_y, t_max_y = -row, (oy + iy * cs - y) / dy
         t_dy = -cs / dy
     else:
         step_y, t_max_y, t_dy = 0, math.inf, math.inf
 
+    occ = grid._occ
+    i = (iy + 1) * row + ix + 1
     while True:
         if t_max_x < t_max_y:
             t = t_max_x
-            ix += step_x
+            i += step_x
             t_max_x += t_dx
         else:
             t = t_max_y
-            iy += step_y
+            i += step_y
             t_max_y += t_dy
         if t >= max_range:
             return max_range
-        if grid.is_occupied(ix, iy):
+        if occ[i]:
             return t

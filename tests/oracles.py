@@ -17,7 +17,9 @@ move graph searched undirected (distance_values_reference) check the
 memoryview reads and the symmetric graph. KDGridReference and
 KDFieldReference answer clearance, center_clearance and the distance field's
 far-from-reach fallback from KD-trees, as the package did before it answered
-them from the cell lattice alone.
+them from the cell lattice alone. raycast_reference is the ray caster as it
+walked cell indices with a bounds test per cell, before it walked a flat index
+over the grid's padded byte table.
 """
 
 import heapq
@@ -118,6 +120,52 @@ def raymarch_oracle(grid, origin, angle, max_range, step=1e-4):
         if grid.is_occupied(ix, iy):
             return t
     return max_range
+
+
+def raycast_reference(grid, origin, angle, max_range):
+    """Distance to the first occupied-cell boundary along a ray, capped at max_range.
+
+    Exact grid traversal (Amanatides-Woo); the closed-world edge counts as a hit.
+    """
+    x, y = origin
+    ix, iy = grid.world_to_cell(x, y)
+    if grid.is_occupied(ix, iy):
+        return 0.0
+    dx = math.cos(angle)
+    dy = math.sin(angle)
+    cs = grid.cell_size
+    ox, oy = grid.origin
+
+    if dx > 0:
+        step_x, t_max_x = 1, (ox + (ix + 1) * cs - x) / dx
+        t_dx = cs / dx
+    elif dx < 0:
+        step_x, t_max_x = -1, (ox + ix * cs - x) / dx
+        t_dx = -cs / dx
+    else:
+        step_x, t_max_x, t_dx = 0, math.inf, math.inf
+    if dy > 0:
+        step_y, t_max_y = 1, (oy + (iy + 1) * cs - y) / dy
+        t_dy = cs / dy
+    elif dy < 0:
+        step_y, t_max_y = -1, (oy + iy * cs - y) / dy
+        t_dy = -cs / dy
+    else:
+        step_y, t_max_y, t_dy = 0, math.inf, math.inf
+
+    while True:
+        if t_max_x < t_max_y:
+            t = t_max_x
+            ix += step_x
+            t_max_x += t_dx
+        else:
+            t = t_max_y
+            iy += step_y
+            t_max_y += t_dy
+        if t >= max_range:
+            return max_range
+        if grid.is_occupied(ix, iy):
+            return t
 
 
 def dynlite_scalar_oracle(x0, v0, cmd, tau, substeps, dt=1.0):

@@ -1,6 +1,7 @@
 """The narrated demos run to completion against the package under test.
 
 Demo 05 is left out: its throughput section alone takes over ten seconds.
+The CI workflow runs it as a step of its own.
 """
 
 import os

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from kinnav.agents import STOP, AgentAction, ConstantAgent, RandomAgent
+from kinnav.agents import STOP, AgentAction, ConstantAgent, OracleAgent, RandomAgent
 from kinnav.episodes import sample_episodes
 from kinnav.maps import random_maze
 from kinnav.motion import PROFILES, Pose, VelocityCommand
@@ -12,9 +12,11 @@ from kinnav.noise import reference_model
 from kinnav.robots import SPOT
 from kinnav.task import (PROXIMITY_MARGIN, Episode, EpisodeFinishedError,
                          InvalidEpisodeError, NavEnv, RewardConfig,
-                         SensorConfig, compute_spl, observe, read_trajectory,
-                         reward, write_trajectory)
+                         SensorConfig, compute_spl, depth_fan, observe,
+                         read_trajectory, reward, write_trajectory)
 from kinnav.world import OccupancyGrid, distance_field, load_world
+
+from oracles import raycast_reference
 
 CFG = RewardConfig()
 
@@ -64,6 +66,69 @@ def test_depth_fan_mirror_reversal():
     d = observe(grid, pose, (1.0, 1.0), cfg).depth
     dm = observe(mirrored, pose_m, (1.0, 1.0), cfg).depth
     assert np.allclose(dm, d[::-1], atol=1e-9)
+
+
+def _noisy_spot_poses(grid, n_episodes, steps):
+    """Poses along oracle rollouts under Spot's coupled actuation noise."""
+    ds = sample_episodes(grid, n_episodes, seed=3, largest_spec=SPOT)
+    poses = []
+    for k, ep in enumerate(ds.episodes):
+        field = distance_field(grid, ep.goal, SPOT.footprint_radius)
+        env = NavEnv(grid, SPOT, noise_model=reference_model("coupled"),
+                     rng=np.random.default_rng(k), sensor=SensorConfig(expose_pose=True))
+        agent = OracleAgent(field, SPOT)
+        obs = env.reset(ep, field)
+        memory = agent.reset()
+        poses.append(env.pose)
+        for _ in range(steps):
+            action, memory = agent.act(obs, memory)
+            obs, _, done, _ = env.step(action)
+            poses.append(env.pose)
+            if done:
+                break
+    return poses
+
+
+@pytest.mark.parametrize("cfg", [SensorConfig(), SensorConfig(n_rays=7, fov=2.5, max_range=1.3),
+                                 SensorConfig(n_rays=1, fov=0.1, max_range=math.inf)],
+                         ids=["default", "narrow-short", "one-ray-unbounded"])
+def test_depth_fan_equals_reference_fan(cfg):
+    grid = random_maze(33, 33, 0.25, seed=31)
+    poses = _noisy_spot_poses(grid, 4, 40)
+    assert len(poses) > 100
+    # off the cell lattice, as noise leaves the robot
+    assert sum((p.x, p.y) != grid.cell_center(*grid.world_to_cell(p.x, p.y))
+               for p in poses) > 50
+    for pose in poses:
+        angles = pose.theta + np.linspace(-cfg.fov / 2, cfg.fov / 2, cfg.n_rays)
+        ref = np.array([raycast_reference(grid, (pose.x, pose.y), a, cfg.max_range)
+                        for a in angles])
+        got = depth_fan(grid, pose, cfg)
+        assert got.dtype == ref.dtype and got.tolist() == ref.tolist(), pose
+
+
+def test_depth_fan_unbounded_range_ends_at_the_world_edge():
+    grid = open_grid(8)
+    depth = depth_fan(grid, Pose(4.0, 4.0, 0.0), SensorConfig(n_rays=5, max_range=math.inf))
+    assert np.isfinite(depth).all()
+    assert depth[2] == 4.0
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    ({"n_rays": 0}, "n_rays"), ({"n_rays": -3}, "n_rays"), ({"n_rays": 4.0}, "n_rays"),
+    ({"n_rays": True}, "n_rays"), ({"n_rays": "64"}, "n_rays"),
+    ({"fov": 0.0}, "fov"), ({"fov": -1.0}, "fov"), ({"fov": math.nan}, "fov"),
+    ({"fov": math.inf}, "fov"),
+    ({"max_range": 0.0}, "max_range"), ({"max_range": -2.0}, "max_range"),
+    ({"max_range": math.nan}, "max_range"), ({"max_range": -math.inf}, "max_range"),
+])
+def test_sensor_config_rejects_bad_values(kwargs, field):
+    with pytest.raises(ValueError, match=f"^{field} "):
+        SensorConfig(**kwargs)
+
+
+def test_sensor_config_accepts_unbounded_range():
+    assert SensorConfig(n_rays=1, fov=0.5, max_range=math.inf).max_range == math.inf
 
 
 def test_pose_only_exposed_when_configured():

@@ -1,5 +1,6 @@
 import math
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -17,8 +18,8 @@ from kinnav.world import (CERT_EPS, DistanceField, InvalidGoalError, MapError,
 
 from oracles import (KDFieldReference, KDGridReference, blocked_oracle, cell_lists_reference,
                      clearance_oracle, descent_neighbor_reference, descent_path_reference, dijkstra_oracle,
-                     distance_values_reference, neighbor_graph_reference, raymarch_oracle,
-                     value_at_reference)
+                     distance_values_reference, neighbor_graph_reference, raycast_reference,
+                     raymarch_oracle, value_at_reference)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -52,6 +53,8 @@ def test_load_world_bad_header():
 def test_load_world_bad_char_and_empty():
     with pytest.raises(MapError, match="line 2"):
         load_world("cell_size 1\n.x\n")
+    with pytest.raises(MapError, match="^line 3: unknown character 'é'$"):
+        load_world("cell_size 1\n#.\n.é\n..\n")
     with pytest.raises(MapError, match="line 2"):
         load_world("cell_size 1\n")
 
@@ -686,3 +689,97 @@ def test_raycast_mirror_symmetry():
         d = raycast(grid, origin, a, 6.0)
         dm = raycast(mirrored, m_origin, math.pi - a, 6.0)
         assert dm == pytest.approx(d, abs=1e-9)
+
+
+def _offset_obstacles(width, height, cell_size, origin, seed):
+    src = random_obstacles(width, height, 1.0, seed=seed, density=0.2).cells
+    return OccupancyGrid(np.array(src), cell_size, origin)
+
+
+# mazes, and random obstacles off the origin at cell sizes other than 1
+RAY_GRIDS = {
+    "maze-0.25": lambda: random_maze(33, 33, 0.25, seed=12),
+    "maze-0.5": lambda: random_maze(29, 21, 0.5, seed=4),
+    "obstacles-0.3": lambda: _offset_obstacles(40, 30, 0.3, (-4.2, 1.7), seed=21),
+    "obstacles-0.7": lambda: _offset_obstacles(17, 23, 0.7, (3.1, -2.9), seed=22),
+}
+AXIS_ANGLES = [0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi, math.pi / 4, -3 * math.pi / 4]
+
+
+@pytest.mark.parametrize("name", sorted(RAY_GRIDS))
+def test_raycast_equals_reference(name):
+    """Every distance equals the per-cell, bounds-tested caster's, bit for bit."""
+    grid = RAY_GRIDS[name]()
+    cs = grid.cell_size
+    x0, y0, x1, y1 = grid.extent
+    rng = np.random.default_rng(len(name))
+    n = 1200
+    # cell edges and corners: a coordinate on the lattice, the other uniform or on it too
+    kx = rng.integers(0, grid.width + 1, n)
+    ky = rng.integers(0, grid.height + 1, n)
+    ux = rng.uniform(x0, x1, n)
+    uy = rng.uniform(y0, y1, n)
+    lx = grid.origin[0] + kx * cs
+    ly = grid.origin[1] + ky * cs
+    iys, ixs = np.nonzero(grid.cells)
+    occupied = [grid.cell_center(int(ix), int(iy)) for ix, iy in zip(ixs[:200], iys[:200])]
+    origins = (list(zip(lx.tolist(), uy.tolist())) + list(zip(ux.tolist(), ly.tolist()))
+               + list(zip(lx.tolist(), ly.tolist()))[:600]
+               + list(zip(rng.uniform(x0 - 2, x1 + 2, n).tolist(),
+                          rng.uniform(y0 - 2, y1 + 2, n).tolist()))
+               + [(x0, y0), (x1, y1), (x0 - 1e-9, y0 + cs), (x1, y0 + cs)] + occupied)
+    rays = 0
+    for (x, y) in origins:
+        for a in AXIS_ANGLES + rng.uniform(-math.pi, math.pi, 4).tolist():
+            for max_range in (math.inf, 2.5):
+                got = raycast(grid, (x, y), a, max_range)
+                assert got == raycast_reference(grid, (x, y), a, max_range), ((x, y), a, max_range)
+                rays += 1
+    assert rays >= 25_000
+
+
+@pytest.mark.parametrize("name", sorted(RAY_GRIDS))
+def test_raycast_range_shorter_than_first_crossing(name):
+    grid = RAY_GRIDS[name]()
+    free = np.argwhere(~grid.cells)
+    angles = AXIS_ANGLES + np.random.default_rng(3).uniform(-math.pi, math.pi, 9).tolist()
+    for iy, ix in free[:100].tolist():
+        center = grid.cell_center(ix, iy)
+        # the first crossing from a cell centre is at least half a cell away
+        for max_range in (0.0, 0.25 * grid.cell_size, 0.49 * grid.cell_size):
+            for a in angles:
+                got = raycast(grid, center, a, max_range)
+                assert got == max_range == raycast_reference(grid, center, a, max_range)
+
+
+def test_is_occupied_reads_the_closed_world():
+    src = random_obstacles(9, 7, 1.0, seed=2, density=0.3).cells
+    grid = OccupancyGrid(np.array(src), 0.4, origin=(-1.3, 2.2))
+    for iy in range(-3, grid.height + 3):
+        for ix in range(-3, grid.width + 3):
+            inside = 0 <= ix < grid.width and 0 <= iy < grid.height
+            assert grid.is_occupied(ix, iy) is (not inside or bool(src[iy, ix])), (ix, iy)
+    # two past the last column, a flat index over the padded table lands on the
+    # next row's first cell
+    iy = int(np.argmin(src[1:, 0]))
+    assert not src[iy + 1, 0] and grid.is_occupied(grid.width + 2, iy)
+
+
+def test_cells_refuse_writes():
+    src = random_obstacles(6, 5, 1.0, seed=4, density=0.3).cells
+    grid = OccupancyGrid(np.array(src), 0.5, origin=(2.0, -1.0))
+    with pytest.raises(ValueError):
+        grid.cells[0, 0] = not grid.cells[0, 0]
+    with pytest.raises(ValueError):
+        grid.cells.setflags(write=True)
+    # the grid keeps its own copy of the cells it was built from
+    writable = np.array(src)
+    grid = OccupancyGrid(writable, 0.5)
+    writable[:] = ~writable
+    assert np.array_equal(grid.cells, src)
+    assert [[grid.is_occupied(ix, iy) for ix in range(6)] for iy in range(5)] == src.tolist()
+    # so do the cells of a pickled copy, which reads the same table
+    copy = pickle.loads(pickle.dumps(grid))
+    with pytest.raises(ValueError):
+        copy.cells.setflags(write=True)
+    assert np.array_equal(copy.cells, src) and copy._occ == grid._occ
