@@ -46,12 +46,17 @@ def cmd_run(args):
 
 
 def cmd_gap(args):
-    results = {}
+    results, dirs = {}, {}
     for name in sorted(os.listdir(args.results)):
         run_dir = os.path.join(args.results, name)
         if os.path.isfile(os.path.join(run_dir, "summary.kv")):
             summary, rows = harness_mod.load_run(run_dir)
-            results[summary.get("label", name)] = (summary, rows)
+            label = summary.get("label", name)
+            if label in dirs:
+                raise harness_mod.ConfigError(
+                    f"runs {dirs[label]} and {run_dir} share the label {label!r}")
+            dirs[label] = run_dir
+            results[label] = (summary, rows)
     if not results:
         raise harness_mod.ConfigError(f"no run directories under {args.results}")
     table = harness_mod.sim2sim_gap(results)

@@ -2,6 +2,7 @@
 
 import functools
 import hashlib
+import io
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -74,25 +75,24 @@ class EvalConfig:
 
 
 @functools.lru_cache(maxsize=8)
-def _load_context(map_path, dataset_path, robot, noise_path, contents_sha256):
-    # contents_sha256 only keys the cache: a file rewritten in place misses it
-    with open(map_path) as f:
-        grid = world_mod.load_world(f.read())
-    dataset = episodes_mod.read_dataset(dataset_path)
-    spec = get_robot(robot)
-    noise = noise_mod.load_noise_model(noise_path) if noise_path else None
-    return grid, dataset, spec, noise
+def _load_context(map_data, dataset_data, noise_data, robot):
+    """(grid, dataset, spec, noise) parsed from the input files' bytes, cached by those bytes.
+
+    Runs on unchanged files share one grid and its lazy caches; a rewritten file misses.
+    """
+    grid = world_mod.load_world(map_data.decode())
+    dataset = episodes_mod.read_dataset(io.StringIO(dataset_data.decode()))
+    noise = (noise_mod.load_noise_model(io.StringIO(noise_data.decode()))
+             if noise_data is not None else None)
+    return grid, dataset, get_robot(robot), noise
 
 
-def _context(config):
-    """(grid, dataset, spec, noise, dataset sha256) of config, cached by file contents."""
-    digests = tuple(_sha256(p) if p else None
-                    for p in (config.map_path, config.dataset_path, config.noise_path))
-    return _load_context(config.map_path, config.dataset_path, config.robot,
-                         config.noise_path, digests) + (digests[1],)
+def _read(path):
+    with open(path, "rb") as f:
+        return f.read()
 
 
-def _run_pairs(config, pairs, traj_dir=None):
+def _run_pairs(config, contents, pairs, traj_dir=None):
     """Evaluate (seed, episode_id) pairs sequentially; fully deterministic.
 
     Pairs are evaluated grouped by goal, so only one distance field is alive
@@ -101,9 +101,10 @@ def _run_pairs(config, pairs, traj_dir=None):
     changes no result. A rollout that opens no stream (no noise model, and
     an agent that never calls `stream()`) depends on no seed, so the later
     seeds of its episode get copies of its row and trajectory. Rows come back
-    in evaluation order.
+    in evaluation order. contents holds the input files' bytes; their parse
+    is cached, so a worker process builds the grid at most once per batch.
     """
-    grid, dataset, spec, noise, _ = _context(config)
+    grid, dataset, spec, noise = _load_context(*contents, config.robot)
     make_agent = AGENTS[config.agent]
     jobs = sorted((dataset.episodes[episode_id].goal, episode_id, seed)
                   for seed, episode_id in pairs)
@@ -154,19 +155,22 @@ def run_batch(config, traj_dir=None):
     """Run every (episode x seed) pair; results are independent of worker count.
 
     An episode whose rollout opens no RNG stream is simulated once (see
-    _run_pairs); every seed still gets its own row and trajectory. Workers
-    receive whole episodes, all seeds of one episode in the same chunk.
+    _run_pairs); every seed still gets its own row and trajectory. Each input
+    file is read once, and the summary's dataset_sha256 is taken over the
+    bytes that are parsed. Workers receive those bytes with chunks of whole
+    episodes, all seeds of one episode together.
 
     With traj_dir, each pair's trajectory is written there as
     traj_s<seed>_e<episode_id>.csv, by whichever worker evaluates it.
     Returns (summary dict, per-episode row dicts sorted by (seed, episode_id)).
     """
-    grid, dataset, spec, noise, dataset_sha256 = _context(config)
+    contents = tuple(_read(p) if p else None
+                     for p in (config.map_path, config.dataset_path, config.noise_path))
     if traj_dir:
         os.makedirs(traj_dir, exist_ok=True)
-    ids = [ep.episode_id for ep in dataset.episodes]
+    ids = [ep.episode_id for ep in _load_context(*contents, config.robot)[1].episodes]
     if config.workers == 1 or len(ids) < 2:
-        rows = _run_pairs(config, [(seed, i) for seed in config.seeds for i in ids],
+        rows = _run_pairs(config, contents, [(seed, i) for seed in config.seeds for i in ids],
                           traj_dir=traj_dir)
     else:
         nchunks = min(len(ids), config.workers * 4)
@@ -174,10 +178,11 @@ def run_batch(config, traj_dir=None):
                   for k in range(nchunks)]
         rows = []
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            for part in pool.map(_run_pairs, repeat(config), chunks, repeat(traj_dir)):
+            for part in pool.map(_run_pairs, repeat(config), repeat(contents), chunks,
+                                 repeat(traj_dir)):
                 rows.extend(part)
     rows.sort(key=lambda r: (r["seed"], r["episode_id"]))
-    summary = _summarize(config, rows, dataset_sha256)
+    summary = _summarize(config, rows, hashlib.sha256(contents[1]).hexdigest())
     return summary, rows
 
 
@@ -202,11 +207,6 @@ def _summarize(config, rows, dataset_sha256):
     summary["actions_mean"] = sum(r["num_actions"] for r in rows) / len(rows)
     summary["collisions_mean"] = sum(r["num_collisions"] for r in rows) / len(rows)
     return summary
-
-
-def _sha256(path):
-    with open(path, "rb") as f:
-        return hashlib.sha256(f.read()).hexdigest()
 
 
 # -- result persistence -----------------------------------------------------

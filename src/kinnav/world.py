@@ -28,12 +28,13 @@ class InvalidGoalError(ValueError):
 class OccupancyGrid:
     """Immutable 2D occupancy grid.
 
-    Cell (ix, iy) covers the square [ox + ix*cs, ox + (ix+1)*cs) x
-    [oy + iy*cs, oy + (iy+1)*cs) in world coordinates. Everything outside the
-    grid rectangle is treated as occupied, so the world is closed.
+    Cell (ix, iy) covers the square [ix*cs, (ix+1)*cs) x [iy*cs, (iy+1)*cs)
+    in world coordinates: the world frame has (0, 0) at the outer corner of
+    cell (0, 0), x growing with ix and y with iy. Everything outside the grid
+    rectangle is treated as occupied, so the world is closed.
     """
 
-    def __init__(self, cells, cell_size, origin=(0.0, 0.0)):
+    def __init__(self, cells, cell_size):
         cells = np.asarray(cells, dtype=bool)
         if cells.ndim != 2 or cells.shape[0] < 1 or cells.shape[1] < 1:
             raise MapError("grid must be 2D with at least one cell")
@@ -51,13 +52,6 @@ class OccupancyGrid:
         # table cannot go stale
         self.cells = cells = np.frombuffer(cells.tobytes(), dtype=bool).reshape(cells.shape)
         self.cell_size = float(cell_size)
-        self.origin = (float(origin[0]), float(origin[1]))
-
-        cs = self.cell_size
-        ox, oy = self.origin
-        iys, ixs = np.nonzero(cells)
-        self._occ_x0 = ox + ixs * cs
-        self._occ_y0 = oy + iys * cs
         # occupancy rows as lists of Python bools, read by the ring scans
         self._rows = cells.tolist()
         # per cell, the first ring of cells around it that holds an occupied cell
@@ -80,24 +74,20 @@ class OccupancyGrid:
 
     def __reduce__(self):
         # rebuilt from its cells, so a copy's arrays refuse writes and its tables match
-        return OccupancyGrid, (self.cells, self.cell_size, self.origin)
+        return OccupancyGrid, (self.cells, self.cell_size)
 
     # -- coordinates ------------------------------------------------------
 
     @property
     def extent(self):
         """(xmin, ymin, xmax, ymax) of the grid rectangle."""
-        ox, oy = self.origin
-        return (ox, oy, ox + self.width * self.cell_size, oy + self.height * self.cell_size)
+        return (0.0, 0.0, self.width * self.cell_size, self.height * self.cell_size)
 
     def world_to_cell(self, x, y):
-        ox, oy = self.origin
-        return (int(math.floor((x - ox) / self.cell_size)),
-                int(math.floor((y - oy) / self.cell_size)))
+        return (int(math.floor(x / self.cell_size)), int(math.floor(y / self.cell_size)))
 
     def cell_center(self, ix, iy):
-        ox, oy = self.origin
-        return (ox + (ix + 0.5) * self.cell_size, oy + (iy + 0.5) * self.cell_size)
+        return ((ix + 0.5) * self.cell_size, (iy + 0.5) * self.cell_size)
 
     def in_bounds(self, x, y):
         x0, y0, x1, y1 = self.extent
@@ -119,10 +109,9 @@ class OccupancyGrid:
         the scan ends at the first ring whose bound exceeds the best distance
         so far by CERT_EPS, far above the rounding of either.
         """
-        ox, oy = self.origin
         cs = self.cell_size
         w, h = self.width, self.height
-        best = min(x - ox, ox + w * cs - x, y - oy, oy + h * cs - y)
+        best = min(x, w * cs - x, y, h * cs - y)
         rows = self._rows
         k = self._first_ring[iy][ix] if ix < w and iy < h else 0
         while (k - 1) * cs <= best + CERT_EPS:
@@ -136,13 +125,13 @@ class OccupancyGrid:
                     cols = range(lo, hi)
                 else:
                     cols = (ix - k, ix + k)
-                ry0 = oy + jy * cs
+                ry0 = jy * cs
                 dy = ry0 - y if y < ry0 else (y - ry0 - cs if y > ry0 + cs else 0.0)
                 if dy >= best:
                     continue
                 for jx in cols:
                     if 0 <= jx < w and occ[jx]:
-                        rx0 = ox + jx * cs
+                        rx0 = jx * cs
                         dx = rx0 - x if x < rx0 else (x - rx0 - cs if x > rx0 + cs else 0.0)
                         # hypot(dx, dy) >= max(dx, dy): a rect this far cannot lower best
                         if dx < best:
@@ -259,11 +248,12 @@ class _CollisionChecker:
         self.radius = radius
         self.cap = 0.5 * grid.cell_size
         cs = grid.cell_size
-        self._extent = grid.extent
+        _, _, self._x1, self._y1 = grid.extent
         self._cs = cs
         self._w = grid.width
         self._h = grid.height
-        self._rects = list(zip(grid._occ_x0.tolist(), grid._occ_y0.tolist()))
+        iys, ixs = np.nonzero(grid.cells)
+        self._rects = list(zip((ixs * cs).tolist(), (iys * cs).tolist()))
         self._exact_to = radius + self.cap
         self._free_from = radius + CERT_EPS
         self._blocked_to = radius - CERT_EPS
@@ -316,22 +306,20 @@ class _CollisionChecker:
         the rects, so it never understates the clearance, but above
         radius + cap it may overstate it. Zero outside the grid.
         """
-        x0, y0, x1, y1 = self._extent
-        best = x - x0
-        d = x1 - x
+        best = x
+        d = self._x1 - x
         if d < best:
             best = d
-        d = y - y0
-        if d < best:
-            best = d
-        d = y1 - y
+        if y < best:
+            best = y
+        d = self._y1 - y
         if d < best:
             best = d
         if not best > 0.0:
             return 0.0
         cs = self._cs
-        ix = int((x - x0) / cs)
-        iy = int((y - y0) / cs)
+        ix = int(x / cs)
+        iy = int(y / cs)
         if ix >= self._w:
             ix = self._w - 1
         if iy >= self._h:
@@ -389,8 +377,9 @@ class _CollisionChecker:
 def load_world(text):
     """Parse a map document: a `cell_size <float>` header then rows of '#'/'.'.
 
-    The first row after the header is the top of the map (highest y); origin is
-    the world coordinate (0, 0) at the bottom-left corner.
+    Text row j after the header is grid row iy = j, so the first row holds the
+    lowest y; character i of a row is column ix = i. The world frame is
+    OccupancyGrid's: (0, 0) at the outer corner of the first row's first cell.
     """
     lines = text.splitlines()
     if not lines:
@@ -468,26 +457,25 @@ class DistanceField:
         whole neighborhood is unreachable.
         """
         grid = self.grid
-        ox, oy = grid.origin
         cs = grid.cell_size
         w, h = grid.width, grid.height
         # the expressions of grid.world_to_cell and grid.cell_center, inline
-        ix = int(math.floor((x - ox) / cs))
-        iy = int(math.floor((y - oy) / cs))
+        ix = int(math.floor(x / cs))
+        iy = int(math.floor(y / cs))
         vals = self.flat_values
         hypot = math.hypot
         best = math.inf
         for ny in (iy - 1, iy, iy + 1):
             if ny < 0 or ny >= h:
                 continue
-            dy = y - (oy + (ny + 0.5) * cs)
+            dy = y - (ny + 0.5) * cs
             row = ny * w
             for nx in (ix - 1, ix, ix + 1):
                 if nx < 0 or nx >= w:
                     continue
                 v = vals[row + nx]
                 if v < math.inf:
-                    d = v + hypot(x - (ox + (nx + 0.5) * cs), dy)
+                    d = v + hypot(x - (nx + 0.5) * cs, dy)
                     if d < best:
                         best = d
         if best < math.inf:
@@ -597,22 +585,21 @@ def raycast(grid, origin, angle, max_range):
     dx = math.cos(angle)
     dy = math.sin(angle)
     cs = grid.cell_size
-    ox, oy = grid.origin
     row = grid._stride
 
     if dx > 0:
-        step_x, t_max_x = 1, (ox + (ix + 1) * cs - x) / dx
+        step_x, t_max_x = 1, ((ix + 1) * cs - x) / dx
         t_dx = cs / dx
     elif dx < 0:
-        step_x, t_max_x = -1, (ox + ix * cs - x) / dx
+        step_x, t_max_x = -1, (ix * cs - x) / dx
         t_dx = -cs / dx
     else:
         step_x, t_max_x, t_dx = 0, math.inf, math.inf
     if dy > 0:
-        step_y, t_max_y = row, (oy + (iy + 1) * cs - y) / dy
+        step_y, t_max_y = row, ((iy + 1) * cs - y) / dy
         t_dy = cs / dy
     elif dy < 0:
-        step_y, t_max_y = -row, (oy + iy * cs - y) / dy
+        step_y, t_max_y = -row, (iy * cs - y) / dy
         t_dy = -cs / dy
     else:
         step_y, t_max_y, t_dy = 0, math.inf, math.inf

@@ -49,10 +49,9 @@ def clearance_oracle(grid, x, y):
     x0, y0, x1, y1 = grid.extent
     best = min(x - x0, x1 - x, y - y0, y1 - y)
     cs = grid.cell_size
-    ox, oy = grid.origin
     iys, ixs = np.nonzero(grid.cells)
-    rx0 = ox + ixs * cs
-    ry0 = oy + iys * cs
+    rx0 = ixs * cs
+    ry0 = iys * cs
     dx = np.where(x < rx0, rx0 - x, np.where(x > rx0 + cs, x - rx0 - cs, 0.0))
     dy = np.where(y < ry0, ry0 - y, np.where(y > ry0 + cs, y - ry0 - cs, 0.0))
     best = min([best, *map(math.hypot, dx.tolist(), dy.tolist())])
@@ -134,21 +133,20 @@ def raycast_reference(grid, origin, angle, max_range):
     dx = math.cos(angle)
     dy = math.sin(angle)
     cs = grid.cell_size
-    ox, oy = grid.origin
 
     if dx > 0:
-        step_x, t_max_x = 1, (ox + (ix + 1) * cs - x) / dx
+        step_x, t_max_x = 1, ((ix + 1) * cs - x) / dx
         t_dx = cs / dx
     elif dx < 0:
-        step_x, t_max_x = -1, (ox + ix * cs - x) / dx
+        step_x, t_max_x = -1, (ix * cs - x) / dx
         t_dx = -cs / dx
     else:
         step_x, t_max_x, t_dx = 0, math.inf, math.inf
     if dy > 0:
-        step_y, t_max_y = 1, (oy + (iy + 1) * cs - y) / dy
+        step_y, t_max_y = 1, ((iy + 1) * cs - y) / dy
         t_dy = cs / dy
     elif dy < 0:
-        step_y, t_max_y = -1, (oy + iy * cs - y) / dy
+        step_y, t_max_y = -1, (iy * cs - y) / dy
         t_dy = -cs / dy
     else:
         step_y, t_max_y, t_dy = 0, math.inf, math.inf
@@ -292,9 +290,8 @@ def cell_lists_reference(checker, reach):
     if tree is None:
         return out
     cs = checker._cs
-    ox, oy = grid.origin
-    xs = ox + (np.arange(w) + 0.5) * cs
-    ys = oy + (np.arange(checker._h) + 0.5) * cs
+    xs = (np.arange(w) + 0.5) * cs
+    ys = (np.arange(checker._h) + 0.5) * cs
     rects = checker._rects
     for iy, cy in enumerate(ys):
         # a multi-point query lists each point's indices in ascending order
@@ -315,10 +312,9 @@ class KDGridReference:
     def __init__(self, grid):
         self.grid = grid
         cs = grid.cell_size
-        ox, oy = grid.origin
         iys, ixs = np.nonzero(grid.cells)
-        self._occ_x0 = ox + ixs * cs
-        self._occ_y0 = oy + iys * cs
+        self._occ_x0 = ixs * cs
+        self._occ_y0 = iys * cs
         centers = np.column_stack([self._occ_x0 + 0.5 * cs, self._occ_y0 + 0.5 * cs])
         self._tree = cKDTree(centers) if len(centers) else None
         self._half_diag = 0.5 * SQRT2 * cs
@@ -354,9 +350,8 @@ class KDGridReference:
     def center_clearance(self):
         grid = self.grid
         cs = grid.cell_size
-        ox, oy = grid.origin
-        xs = ox + (np.arange(grid.width) + 0.5) * cs
-        ys = oy + (np.arange(grid.height) + 0.5) * cs
+        xs = (np.arange(grid.width) + 0.5) * cs
+        ys = (np.arange(grid.height) + 0.5) * cs
         gx, gy = np.meshgrid(xs, ys)
         x0, y0, x1, y1 = grid.extent
         edge = np.minimum.reduce([gx - x0, x1 - gx, gy - y0, y1 - gy])
@@ -388,8 +383,7 @@ class KDFieldReference:
             if len(ixs) == 0:
                 return math.inf
             cs = self.grid.cell_size
-            ox, oy = self.grid.origin
-            pts = np.column_stack([ox + (ixs + 0.5) * cs, oy + (iys + 0.5) * cs])
+            pts = np.column_stack([(ixs + 0.5) * cs, (iys + 0.5) * cs])
             self._finite_tree = cKDTree(pts)
             self._finite_cells = self.values[iys, ixs]
         d, i = self._finite_tree.query((x, y))

@@ -1,5 +1,6 @@
 import csv
 import os
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -159,6 +160,25 @@ def test_gap_rejects_truncated_episodes(workspace, capsys):
     capsys.readouterr()
     assert main(["gap", "--results", str(root / "trunc_results")]) == 2
     assert f"error: {csv_path}: line 3 has too few values" in capsys.readouterr().err
+
+
+def test_gap_refuses_runs_sharing_a_label(workspace, capsys):
+    root, map_path = workspace
+    ds = str(root / "same_label_eps.jsonl")
+    assert main(["gen-episodes", "--map", map_path, "--n", "2", "--out", ds]) == 0
+    results = root / "same_label"
+    for mode in ("coupled", "decoupled"):
+        noise_path = str(root / f"spot_{mode}.noise")
+        with open(noise_path, "w") as f:
+            f.write(resources.files("kinnav.data").joinpath(f"spot_{mode}.noise").read_text())
+        assert main(["run", "--map", map_path, "--dataset", ds, "--seeds", "0",
+                     "--agent", "random", "--noise", noise_path,
+                     "--out", str(results / mode)]) == 0
+    capsys.readouterr()
+    assert main(["gap", "--results", str(results)]) == 2
+    err = capsys.readouterr().err
+    assert (f"error: runs {results / 'coupled'} and {results / 'decoupled'} share the label "
+            "'spot-kinematic-noise-random'") in err
 
 
 def test_error_exit_code(workspace, capsys):

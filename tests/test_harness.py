@@ -1,5 +1,9 @@
+import builtins
 import hashlib
+import io
 import os
+import pickle
+import shutil
 from dataclasses import replace
 
 import pytest
@@ -12,6 +16,7 @@ from kinnav.harness import (BACKENDS, ConfigError, DatasetMismatchError,
                             run_batch, save_run, sim2sim_gap)
 from kinnav.maps import random_maze
 from kinnav.motion import VelocityCommand
+from kinnav.noise import reference_model, save_noise_model
 from kinnav.plotting import PlotError, emit_plot
 from kinnav.robots import SPOT
 from kinnav.task import NavEnv
@@ -103,7 +108,7 @@ class RecordingPool:
     def map(self, fn, *iterables):
         items = list(zip(*iterables))
         RecordingPool.calls.append(len(items))
-        RecordingPool.chunks.extend(pairs for _, pairs, _ in items)
+        RecordingPool.chunks.extend(pairs for *_, pairs, _ in items)
         return [fn(*item) for item in items]
 
 
@@ -287,6 +292,71 @@ def test_rewritten_dataset_is_reread(small_setup, tmp_path):
     assert summary["episodes"] == len(rows) == 10
     with open(path, "rb") as f:
         assert summary["dataset_sha256"] == hashlib.sha256(f.read()).hexdigest()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_each_input_file_is_opened_once(small_setup, tmp_path, monkeypatch, workers):
+    root, grid, map_path, ds_path = small_setup
+    noise_path = str(tmp_path / "spot.noise")
+    save_noise_model(reference_model("coupled"), noise_path)
+    inputs = {os.path.abspath(p) for p in (map_path, ds_path, noise_path)}
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        if isinstance(file, str) and os.path.abspath(file) in inputs:
+            opened.append(os.path.abspath(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(builtins, "open", counting_open)
+    run_batch(EvalConfig(map_path, ds_path, noise_path=noise_path, seeds=(0, 1),
+                         workers=workers))
+    assert sorted(opened) == sorted(inputs)
+
+
+def test_runs_on_the_same_bytes_parse_them_once(small_setup, tmp_path, monkeypatch):
+    root, grid, map_path, ds_path = small_setup
+    parsed = []
+    load_world = harness.world_mod.load_world
+    monkeypatch.setattr(harness.world_mod, "load_world",
+                        lambda text: parsed.append(text) or load_world(text))
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    harness._load_context.cache_clear()
+    copy = str(shutil.copyfile(map_path, tmp_path / "copy.map"))
+    # the second run and every worker chunk reuse the first parse, under any path
+    for path, workers in ((map_path, 1), (map_path, 2), (copy, 1)):
+        run_batch(EvalConfig(path, ds_path, seeds=(0,), workers=workers))
+    assert len(parsed) == 1
+    with open(copy, "a") as f:
+        f.write("\n")
+    run_batch(EvalConfig(copy, ds_path, seeds=(0,)))
+    assert len(parsed) == 2
+
+
+class RewritingPool(RecordingPool):
+    """A stand-in pool that first overwrites a file, then runs each chunk on a pickled copy."""
+
+    rewrite = None  # (path, new text)
+
+    def map(self, fn, *iterables):
+        path, text = RewritingPool.rewrite
+        with open(path, "w") as f:
+            f.write(text)
+        return [fn(*pickle.loads(pickle.dumps(item))) for item in zip(*iterables)]
+
+
+def test_workers_run_the_dataset_the_run_read(small_setup, tmp_path, monkeypatch):
+    root, grid, map_path, ds_path = small_setup
+    want = run_batch(EvalConfig(map_path, ds_path, seeds=(0, 1)))
+    path = shutil.copyfile(ds_path, tmp_path / "episodes.jsonl")
+    other = write_dataset(sample_episodes(grid, 8, seed=5, largest_spec=SPOT), io.StringIO())
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RewritingPool)
+    monkeypatch.setattr(RewritingPool, "rewrite", (path, other))
+    summary, rows = run_batch(EvalConfig(map_path, str(path), seeds=(0, 1), workers=2))
+    assert path.read_text() == other
+    assert summary["dataset_sha256"] == want[0]["dataset_sha256"]
+    assert rows == want[1]
 
 
 def test_save_load_run_roundtrip(small_setup, tmp_path):

@@ -332,8 +332,8 @@ def random_free_pose(checker, grid, rng):
 def dynlite_runs():
     """(grid, spec, cfg, start pose, velocity, cmd, new result, reference result) per step.
 
-    Random mazes, random obstacle fields and an empty grid with an offset
-    origin (only the closed-world edge to hit); Spot and A1; both profiles at
+    Random mazes, random obstacle fields and an empty grid (only the
+    closed-world edge to hit); Spot and A1; both profiles at
     1, 7 and 240 substeps. Starts are random free poses and poses hugging a
     wall or the edge; each runs a short chain of random commands, some with a
     fast initial velocity so that coarse substeps dig in deep enough to fall.
@@ -341,9 +341,9 @@ def dynlite_runs():
     grids = [
         random_maze(24, 24, 0.25, seed=3),
         random_maze(32, 24, 0.3, seed=4),
-        OccupancyGrid(np.random.default_rng(5).random((14, 14)) < 0.2, 0.5, (1.3, -2.1)),
+        OccupancyGrid(np.random.default_rng(5).random((14, 14)) < 0.2, 0.5),
         OccupancyGrid(np.random.default_rng(6).random((20, 16)) < 0.35, 0.25),
-        OccupancyGrid(np.zeros((6, 9), dtype=bool), 0.5, (-3.0, 2.5)),
+        OccupancyGrid(np.zeros((6, 9), dtype=bool), 0.5),
     ]
     rng = np.random.default_rng(11)
     runs = []
@@ -439,7 +439,7 @@ def hold_grids():
         "..........",
     ]) + "\n")
     return [wall_grid(), corner, random_maze(24, 24, 0.25, seed=13),
-            OccupancyGrid(np.zeros((8, 8), dtype=bool), 0.5, (-1.7, 0.9))]
+            OccupancyGrid(np.zeros((8, 8), dtype=bool), 0.5)]
 
 
 def hold_starts(checker, grid, rng):

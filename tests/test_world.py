@@ -392,19 +392,19 @@ def test_center_clearance_matches_pointwise():
 def checker_grids():
     yield random_obstacles(14, 12, 0.5, seed=7, density=0.25)
     yield random_obstacles(30, 30, 0.25, seed=8, density=0.03)
-    yield OccupancyGrid(np.random.default_rng(3).random((10, 13)) < 0.4, 0.3, (-1.7, 2.2))
-    yield OccupancyGrid(np.zeros((5, 8), dtype=bool), 0.5, (0.4, -0.9))
+    yield OccupancyGrid(np.random.default_rng(3).random((10, 13)) < 0.4, 0.3)
+    yield OccupancyGrid(np.zeros((5, 8), dtype=bool), 0.5)
     yield OccupancyGrid(np.ones((4, 4), dtype=bool), 1.0)
 
 
 def geometry_grids():
-    """Cells of 0.1 to 1 m, offset origins, an empty and a full grid."""
+    """Cells of 0.1 to 1 m, an empty and a full grid."""
     yield random_maze(64, 64, 0.25, seed=77)
     yield random_maze(33, 33, 0.5, seed=3)
     yield random_obstacles(60, 60, 0.1, seed=5, density=0.1)
     yield random_obstacles(40, 30, 0.15, seed=11, density=0.15)
-    yield OccupancyGrid(np.random.default_rng(4).random((12, 9)) < 0.3, 1.0, (0.37, -5.1))
-    yield OccupancyGrid(np.random.default_rng(5).random((25, 21)) < 0.2, 0.1, (3.3, 1.1))
+    yield OccupancyGrid(np.random.default_rng(4).random((12, 9)) < 0.3, 1.0)
+    yield OccupancyGrid(np.random.default_rng(5).random((25, 21)) < 0.2, 0.1)
     yield from checker_grids()
 
 
@@ -480,9 +480,8 @@ def test_fallback_value_matches_kd_reference():
         field = distance_field(grid, grid.cell_center(ix, iy), 0.2)
         ref = KDFieldReference(field)
         iys, ixs = np.nonzero(np.isfinite(field.values))
-        ox, oy = grid.origin
-        cx = ox + (ixs + 0.5) * grid.cell_size
-        cy = oy + (iys + 0.5) * grid.cell_size
+        cx = (ixs + 0.5) * grid.cell_size
+        cy = (iys + 0.5) * grid.cell_size
         for x, y in grid_points(grid, np.random.default_rng(k), 1000):
             d2 = (cx - x) ** 2 + (cy - y) ** 2
             first, second = np.argsort(d2, kind="stable")[:2]
@@ -590,7 +589,7 @@ def test_near_matches_clearance_expression(cell_size, radius):
     lone = np.zeros((16, 16), dtype=bool)
     lone[8, 8] = True
     for grid in (random_maze(33, 33, cell_size, seed=21),
-                 OccupancyGrid(rng.random((30, 30)) < 0.08, cell_size, (-1.37, 0.91)),
+                 OccupancyGrid(rng.random((30, 30)) < 0.08, cell_size),
                  OccupancyGrid(lone, cell_size)):
         checker = grid.collision_checker(radius)
         exact_to = radius + checker.cap
@@ -691,17 +690,17 @@ def test_raycast_mirror_symmetry():
         assert dm == pytest.approx(d, abs=1e-9)
 
 
-def _offset_obstacles(width, height, cell_size, origin, seed):
+def _rescaled_obstacles(width, height, cell_size, seed):
     src = random_obstacles(width, height, 1.0, seed=seed, density=0.2).cells
-    return OccupancyGrid(np.array(src), cell_size, origin)
+    return OccupancyGrid(np.array(src), cell_size)
 
 
-# mazes, and random obstacles off the origin at cell sizes other than 1
+# mazes, and random obstacles at cell sizes other than 1
 RAY_GRIDS = {
     "maze-0.25": lambda: random_maze(33, 33, 0.25, seed=12),
     "maze-0.5": lambda: random_maze(29, 21, 0.5, seed=4),
-    "obstacles-0.3": lambda: _offset_obstacles(40, 30, 0.3, (-4.2, 1.7), seed=21),
-    "obstacles-0.7": lambda: _offset_obstacles(17, 23, 0.7, (3.1, -2.9), seed=22),
+    "obstacles-0.3": lambda: _rescaled_obstacles(40, 30, 0.3, seed=21),
+    "obstacles-0.7": lambda: _rescaled_obstacles(17, 23, 0.7, seed=22),
 }
 AXIS_ANGLES = [0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi, math.pi / 4, -3 * math.pi / 4]
 
@@ -719,8 +718,8 @@ def test_raycast_equals_reference(name):
     ky = rng.integers(0, grid.height + 1, n)
     ux = rng.uniform(x0, x1, n)
     uy = rng.uniform(y0, y1, n)
-    lx = grid.origin[0] + kx * cs
-    ly = grid.origin[1] + ky * cs
+    lx = kx * cs
+    ly = ky * cs
     iys, ixs = np.nonzero(grid.cells)
     occupied = [grid.cell_center(int(ix), int(iy)) for ix, iy in zip(ixs[:200], iys[:200])]
     origins = (list(zip(lx.tolist(), uy.tolist())) + list(zip(ux.tolist(), ly.tolist()))
@@ -754,7 +753,7 @@ def test_raycast_range_shorter_than_first_crossing(name):
 
 def test_is_occupied_reads_the_closed_world():
     src = random_obstacles(9, 7, 1.0, seed=2, density=0.3).cells
-    grid = OccupancyGrid(np.array(src), 0.4, origin=(-1.3, 2.2))
+    grid = OccupancyGrid(np.array(src), 0.4)
     for iy in range(-3, grid.height + 3):
         for ix in range(-3, grid.width + 3):
             inside = 0 <= ix < grid.width and 0 <= iy < grid.height
@@ -767,7 +766,7 @@ def test_is_occupied_reads_the_closed_world():
 
 def test_cells_refuse_writes():
     src = random_obstacles(6, 5, 1.0, seed=4, density=0.3).cells
-    grid = OccupancyGrid(np.array(src), 0.5, origin=(2.0, -1.0))
+    grid = OccupancyGrid(np.array(src), 0.5)
     with pytest.raises(ValueError):
         grid.cells[0, 0] = not grid.cells[0, 0]
     with pytest.raises(ValueError):
