@@ -20,7 +20,7 @@ grid = load_world("cell_size 1\n" + "\n".join(rows) + "\n")
 print("open-space step, both backends, cmd vx = 0.5 m/s:")
 start = Pose(2.0, 6.0, 0.0)
 cmd = VelocityCommand(0.5, 0.0, 0.0)
-kin, blocked = kinematic_step(grid, start, cmd, 1.0, SPOT)
+kin, blocked = kinematic_step(grid, start, cmd, SPOT)
 print(f"  kinematic : x {start.x:.3f} -> {kin.x:.3f}  (teleport, blocked={blocked})")
 vel = VelocityCommand(0.0, 0.0, 0.0)
 dyn, vel, events = dynamic_lite_step(grid, start, vel, cmd, PROFILES["profile-A"], SPOT)
@@ -29,7 +29,7 @@ print(f"  dyn-lite A: x {start.x:.3f} -> {dyn.x:.3f}  "
 
 print("\ndriving into the wall from 0.35 m away:")
 near = Pose(5.0 - SPOT.footprint_radius - 0.35, 6.0, 0.0)
-kin, blocked = kinematic_step(grid, near, cmd, 1.0, SPOT)
+kin, blocked = kinematic_step(grid, near, cmd, SPOT)
 print(f"  kinematic : blocked={blocked}, position held at x={kin.x:.3f}")
 vel = VelocityCommand(0.0, 0.0, 0.0)
 dyn, vel, events = dynamic_lite_step(grid, near, vel, cmd, PROFILES["profile-A"], SPOT)

@@ -1,8 +1,9 @@
 """Cross-fidelity gap and the fidelity/throughput trade-off.
 
 Evaluates the same oracle agent on the same episodes under the kinematic
-backend and the sluggish dynamic-lite profile-B, prints the success-rate gap
-table, then benchmarks raw control-steps per second for each backend.
+backend and the sluggish dynlite-b backend (config PROFILES["profile-B"]),
+prints the success-rate gap table, then benchmarks raw control-steps per
+second for each backend.
 
 Run with: python3 demos/05_gap_and_throughput.py  (takes ~15 s)
 """
@@ -36,8 +37,8 @@ print("throughput on the same map (steps of simulated control per second):")
 bench = bench_throughput(grid, SPOT, steps=4000, warmup=500)
 for backend in ("kinematic", "dynlite-a", "dynlite-b"):
     print(f"  {backend:10s} {bench[backend]:12.0f} steps/s")
-print(f"  kinematic advantage: {bench['ratio_dynlite-a']:.0f}x over profile-A, "
-      f"{bench['ratio_dynlite-b']:.0f}x over profile-B")
+print(f"  kinematic advantage: {bench['ratio_dynlite-a']:.0f}x over dynlite-a, "
+      f"{bench['ratio_dynlite-b']:.0f}x over dynlite-b")
 print("\nthe kinematic backend trades contact fidelity for orders of")
 print("magnitude more experience per wall-clock second; the gap table above")
 print("shows what that fidelity difference costs the same agent.")

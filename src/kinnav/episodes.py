@@ -35,7 +35,7 @@ class EpisodeDataset:
 
 def validate_episode(grid, start, goal, largest_spec, ratio_min=DEFAULT_RATIO_MIN,
                      dist_field=None):
-    """Accept/reject a (start, goal) pair. Returns (accepted, reason).
+    """Accept/reject a (start Pose, goal point) pair. Returns (accepted, reason).
 
     Rules: geodesic distance in [1, 30] m and geodesic/euclidean ratio at
     least ratio_min (rejects near-straight paths). The field is built over the
@@ -48,7 +48,7 @@ def validate_episode(grid, start, goal, largest_spec, ratio_min=DEFAULT_RATIO_MI
     elif dist_field.robot_radius != float(largest_spec.footprint_radius):
         raise ValueError(f"dist_field built for radius {dist_field.robot_radius}, "
                          f"not the footprint radius {largest_spec.footprint_radius}")
-    sx, sy = (start.x, start.y) if isinstance(start, Pose) else (start[0], start[1])
+    sx, sy = start.x, start.y
     six, siy = grid.world_to_cell(sx, sy)
     d_geo = dist_field.values[siy, six]
     if not math.isfinite(d_geo):
@@ -64,7 +64,7 @@ def validate_episode(grid, start, goal, largest_spec, ratio_min=DEFAULT_RATIO_MI
 
 
 def sample_episodes(grid, n, seed, largest_spec, ratio_min=DEFAULT_RATIO_MIN,
-                    scene_id="scene", max_attempts=None):
+                    scene_id="scene"):
     """Rejection-sample n valid episodes; deterministic for a given seed.
 
     Start and goal positions are sampled uniformly over free, non-inflated cell
@@ -72,10 +72,10 @@ def sample_episodes(grid, n, seed, largest_spec, ratio_min=DEFAULT_RATIO_MIN,
     itself but blocked as write_dataset stores it, rounded to 6 significant
     digits, is rejected (`start_blocked`), so a written dataset always loads
     into NavEnv. Blocked is clearance below the footprint radius, which
-    needs no collision checker.
+    needs no collision checker. After 1000 * n attempts (at least one) it
+    gives up with a GenerationError.
     """
-    if max_attempts is None:
-        max_attempts = max(1000 * n, 1)
+    max_attempts = max(1000 * n, 1)
     radius = largest_spec.footprint_radius
     passable = grid.passable_mask(radius)
     iys, ixs = np.nonzero(passable)

@@ -6,7 +6,7 @@ import io
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
@@ -260,20 +260,13 @@ class DatasetMismatchError(ValueError):
 
 @dataclass
 class GapTable:
-    """Success rates per condition label plus all pairwise gaps (row - column)."""
+    """Success rates per condition label; gap(row, column) is row minus column."""
 
     labels: list
     sr: dict
-    gaps: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        vals = np.array([self.sr[l] for l in self.labels])
-        self.gaps = vals[:, None] - vals[None, :]
 
     def gap(self, row_label, col_label):
-        i = self.labels.index(row_label)
-        j = self.labels.index(col_label)
-        return float(self.gaps[i, j])
+        return self.sr[row_label] - self.sr[col_label]
 
     def to_text(self):
         width = max(len(l) for l in self.labels) + 2
@@ -284,8 +277,8 @@ class GapTable:
         lines.append("pairwise gaps, row minus column (%)")
         header = " " * (width + 2) + "".join(f"{l:>{width}}" for l in self.labels)
         lines.append(header)
-        for i, l in enumerate(self.labels):
-            cells = "".join(f"{self.gaps[i, j]:>{width}.2f}" for j in range(len(self.labels)))
+        for l in self.labels:
+            cells = "".join(f"{self.gap(l, m):>{width}.2f}" for m in self.labels)
             lines.append(f"  {l:<{width}}{cells}")
         return "\n".join(lines) + "\n"
 
@@ -318,20 +311,22 @@ def sim2sim_gap(results_by_label):
 # -- throughput --------------------------------------------------------------
 
 
-def bench_throughput(grid, spec, backends=BACKENDS, steps=2000, warmup=1000,
-                     seed=0, substeps=None):
+def bench_throughput(grid, spec, backends=BACKENDS, steps=2000, warmup=1000):
     """Control-steps per second for each backend on the same map and agent.
 
     Observational only: every backend runs the same `warmup` and then `steps`
-    timed random commands from a fixed seed.
+    timed random commands from a fixed seed. ValueError unless steps >= 1 and
+    warmup >= 0.
     Returns {backend: steps/sec} plus 'ratio_<b>' entries relative to kinematic.
     """
+    if steps < 1 or warmup < 0:
+        raise ValueError(f"bench needs steps >= 1 and warmup >= 0, got {steps} and {warmup}")
     passable = grid.passable_mask(spec.footprint_radius)
     iys, ixs = np.nonzero(passable)
     if len(ixs) == 0:
         raise ValueError("map has no free non-inflated cells")
     start = grid.cell_center(int(ixs[len(ixs) // 2]), int(iys[len(iys) // 2]))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     total = warmup + steps
     cmds = [VelocityCommand(vx, vy, w) for vx, vy, w in np.column_stack([
         rng.uniform(-spec.lin_limit, spec.lin_limit, total),
@@ -344,13 +339,11 @@ def bench_throughput(grid, spec, backends=BACKENDS, steps=2000, warmup=1000,
         cfg = BACKENDS[backend]
         if cfg is None:
             for cmd in cmds[:warmup]:
-                pose, _ = kinematic_step(grid, pose, cmd, 1.0, spec)
+                pose, _ = kinematic_step(grid, pose, cmd, spec)
             t0 = time.perf_counter()
             for cmd in cmds[warmup:]:
-                pose, _ = kinematic_step(grid, pose, cmd, 1.0, spec)
+                pose, _ = kinematic_step(grid, pose, cmd, spec)
         else:
-            if substeps is not None:
-                cfg = replace(cfg, substeps=substeps)
             for cmd in cmds[:warmup]:
                 pose, vel, _ = dynamic_lite_step(grid, pose, vel, cmd, cfg, spec)
             t0 = time.perf_counter()

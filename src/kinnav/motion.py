@@ -59,8 +59,8 @@ def clamp_command(cmd, spec):
     )
 
 
-def kinematic_step(grid, pose, cmd, dt, spec):
-    """Teleport to the Euler-integrated next state, or hold position on collision.
+def kinematic_step(grid, pose, cmd, spec):
+    """Teleport to the Euler-integrated state after one 1 s control step, or hold.
 
     The candidate position uses the start-of-step heading. If the footprint disc
     would overlap occupied space there, the position is kept and blocked=True;
@@ -71,9 +71,9 @@ def kinematic_step(grid, pose, cmd, dt, spec):
         raise InconsistentStateError(f"pose {pose} starts in collision")
     c = math.cos(pose.theta)
     s = math.sin(pose.theta)
-    nx = pose.x + (cmd.vx * c - cmd.vy * s) * dt
-    ny = pose.y + (cmd.vx * s + cmd.vy * c) * dt
-    nth = wrap_angle(pose.theta + cmd.w * dt)
+    nx = pose.x + (cmd.vx * c - cmd.vy * s)
+    ny = pose.y + (cmd.vx * s + cmd.vy * c)
+    nth = wrap_angle(pose.theta + cmd.w)
     blocked = checker.blocked(nx, ny)
     if blocked:
         return Pose(pose.x, pose.y, nth), True
@@ -84,21 +84,22 @@ def kinematic_step(grid, pose, cmd, dt, spec):
 class DynamicLiteConfig:
     """First-order velocity-lag surrogate for a physics-stepped backend.
 
-    tau is the velocity tracking time constant; each control step is split into
-    `substeps` physics substeps. On contact the position update either slides
-    along the free axis-aligned component or holds. A fall fires when the
-    prevented penetration in one substep exceeds fall_penetration.
+    tau is the velocity tracking time constant; each 1 s control step is split
+    into `substeps` physics substeps of 1 / substeps s. On contact the position
+    update either slides along the free axis-aligned component or holds. A fall
+    fires when the prevented penetration in one substep exceeds
+    fall_penetration.
 
     Every substep starts from a free pose and clearance is 1-Lipschitz, so the
     penetration of a substep is at most its displacement. The lagged velocity
     moves along a straight line toward the command, so from any substep on the
     speed is at most v_max, the larger of the current and the commanded speed,
-    and each displacement at most v_max * dt / substeps. A fall therefore
-    needs v_max * dt / substeps above fall_penetration, which
-    dynamic_lite_step tests once per step, at its first contact. Within every
-    robot's limits (v_max <= 0.5 * sqrt(2) m/s) that never happens at 240
-    substeps, nor for Spot from 15 substeps up; only coarse substepping
-    (substeps=1 in the tests) reaches the fall path.
+    and each displacement at most v_max / substeps. A fall therefore needs
+    v_max / substeps above fall_penetration, which dynamic_lite_step tests
+    once per step, at its first contact. Within every robot's limits
+    (v_max <= 0.5 * sqrt(2) m/s) that never happens at 240 substeps, nor for
+    Spot from 15 substeps up; only coarse substepping (substeps=1 in the
+    tests) reaches the fall path.
     """
 
     tau: float
@@ -135,8 +136,8 @@ def _contact_events(substeps):
     return tuple(("contact", k) for k in range(substeps))
 
 
-def dynamic_lite_step(grid, pose, actual_vel, cmd, config, spec, dt=1.0):
-    """Advance one control step of the dynamic-lite backend.
+def dynamic_lite_step(grid, pose, actual_vel, cmd, config, spec):
+    """Advance one 1 s control step of the dynamic-lite backend.
 
     Returns (new pose, new actual velocity, events); events is a list of
     ('contact', substep) and ('fall', substep) tuples. A fall ends the step.
@@ -179,7 +180,7 @@ def dynamic_lite_step(grid, pose, actual_vel, cmd, config, spec, dt=1.0):
     fx, fy = x, y
     bx = by = b2 = 0.0
     n = config.substeps
-    delta = dt / n
+    delta = 1.0 / n
     # gain capped at 1: for delta >= tau the lag collapses to exact tracking
     # (an uncapped explicit update would be unstable for delta > 2*tau)
     alpha = min(delta / config.tau, 1.0)

@@ -188,10 +188,8 @@ class NavEnv:
         self._checker = grid.collision_checker(spec.footprint_radius)
         self.episode = None
 
-    def reset(self, episode, dist_field=None):
-        if dist_field is None:
-            dist_field = world_mod.distance_field(
-                self.grid, episode.goal, self.spec.footprint_radius)
+    def reset(self, episode, dist_field):
+        """Start an episode; dist_field is its goal's field for the robot's footprint."""
         self.episode = episode
         self.field = dist_field
         self.pose = episode.start
@@ -239,8 +237,7 @@ class NavEnv:
             if self.noise_model is not None:
                 applied = apply_noise(cmd, self.noise_model, self.rng)
             if self.dyn_config is None:
-                new_pose, blocked = kinematic_step(
-                    self.grid, self.pose, applied, 1.0, self.spec)
+                new_pose, blocked = kinematic_step(self.grid, self.pose, applied, self.spec)
             else:
                 new_pose, self.actual_vel, events = dynamic_lite_step(
                     self.grid, self.pose, self.actual_vel, applied,

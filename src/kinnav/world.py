@@ -415,10 +415,16 @@ def load_world(text):
 
 
 def save_world(grid):
-    """Canonical serialization of a grid (inverse of load_world)."""
-    out = [f"cell_size {grid.cell_size:.6g}"]
-    for iy in range(grid.height):
-        out.append("".join("#" if grid.cells[iy, ix] else "." for ix in range(grid.width)))
+    """Canonical serialization of a grid (inverse of load_world).
+
+    cell_size is written with 6 significant digits when they read back as the
+    same float, and otherwise as the shortest text that does (repr).
+    """
+    size = f"{grid.cell_size:.6g}"
+    if float(size) != grid.cell_size:
+        size = repr(grid.cell_size)
+    rows = np.where(grid.cells, ord("#"), ord(".")).astype(np.uint8)
+    out = [f"cell_size {size}"] + [row.tobytes().decode("ascii") for row in rows]
     return "\n".join(out) + "\n"
 
 

@@ -19,7 +19,8 @@ KDFieldReference answer clearance, center_clearance and the distance field's
 far-from-reach fallback from KD-trees, as the package did before it answered
 them from the cell lattice alone. raycast_reference is the ray caster as it
 walked cell indices with a bounds test per cell, before it walked a flat index
-over the grid's padded byte table.
+over the grid's padded byte table. save_world_reference is save_world as it
+built each row one cell at a time and always wrote 6 significant digits.
 """
 
 import heapq
@@ -530,3 +531,11 @@ def distance_values_reference(grid, graph, goal_cell):
     ix, iy = goal_cell
     dist = csgraph.dijkstra(graph, directed=False, indices=iy * grid.width + ix)
     return dist.reshape(grid.height, grid.width)
+
+
+def save_world_reference(grid):
+    """Canonical serialization of a grid (inverse of load_world)."""
+    out = [f"cell_size {grid.cell_size:.6g}"]
+    for iy in range(grid.height):
+        out.append("".join("#" if grid.cells[iy, ix] else "." for ix in range(grid.width)))
+    return "\n".join(out) + "\n"

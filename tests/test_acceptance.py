@@ -82,7 +82,7 @@ def test_criterion_2_kinematic_semantics():
         ]
         assert len(scenarios) == 10
         for pose, cmd in scenarios:
-            new_pose, blocked = kinematic_step(grid, pose, cmd, 1.0, SPOT)
+            new_pose, blocked = kinematic_step(grid, pose, cmd, SPOT)
             assert blocked, (pose, cmd)
             assert (new_pose.x, new_pose.y) == (pose.x, pose.y)
 
@@ -94,7 +94,7 @@ def test_criterion_2_kinematic_semantics():
             x, y = rng.uniform(10, 50, 2)
             th = rng.uniform(-math.pi, math.pi)
             cmd = clamp_command(VelocityCommand(*rng.uniform(-0.6, 0.6, 3)), SPOT)
-            pose, blocked = kinematic_step(open_grid, Pose(x, y, th), cmd, 1.0, SPOT)
+            pose, blocked = kinematic_step(open_grid, Pose(x, y, th), cmd, SPOT)
             assert not blocked
             ex = x + (cmd.vx * math.cos(th) - cmd.vy * math.sin(th))
             ey = y + (cmd.vx * math.sin(th) + cmd.vy * math.cos(th))

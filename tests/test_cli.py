@@ -83,6 +83,16 @@ def test_bench_command(workspace, capsys):
     assert "ratio_dynlite-a" in out
 
 
+@pytest.mark.parametrize("steps", ["0", "-5"])
+def test_bench_refuses_steps_below_one(workspace, capsys, steps):
+    root, map_path = workspace
+    assert main(["bench", "--map", map_path, "--backend", "kinematic",
+                 "--steps", steps]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_fit_noise_command(workspace, capsys):
     root, map_path = workspace
     rng = np.random.default_rng(0)

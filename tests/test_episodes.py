@@ -107,7 +107,7 @@ def test_sample_revalidates():
 def test_sample_attempt_budget():
     grid = load_world(open_doc(12))  # open room: everything is near-straight
     with pytest.raises(GenerationError, match="acceptance rate"):
-        sample_episodes(grid, 5, seed=0, largest_spec=SPOT, max_attempts=200)
+        sample_episodes(grid, 5, seed=0, largest_spec=SPOT)
 
 
 def test_dataset_roundtrip():
@@ -129,7 +129,7 @@ def test_written_dataset_starts_load_into_env(tmp_path):
     write_dataset(ds, tmp_path / "eps.jsonl")
     env = NavEnv(grid, ALIENGO)
     for ep in read_dataset(tmp_path / "eps.jsonl").episodes:
-        env.reset(ep)
+        env.reset(ep, distance_field(grid, ep.goal, ALIENGO.footprint_radius))
 
 
 def test_dataset_regeneration_from_header():

@@ -15,7 +15,7 @@ from kinnav.harness import (BACKENDS, ConfigError, DatasetMismatchError,
                             EvalConfig, GapTable, bench_throughput, load_run,
                             run_batch, save_run, sim2sim_gap)
 from kinnav.maps import random_maze
-from kinnav.motion import VelocityCommand
+from kinnav.motion import PROFILES, VelocityCommand
 from kinnav.noise import reference_model, save_noise_model
 from kinnav.plotting import PlotError, emit_plot
 from kinnav.robots import SPOT
@@ -424,16 +424,18 @@ def test_gap_ordering_kinematic_vs_dynlite_b(small_setup):
     assert table.gap("spot-kinematic-oracle", "spot-dynlite-b-oracle") >= 0.0
 
 
-def test_bench_equal_work_sanity():
+def test_bench_equal_work_sanity(monkeypatch):
     # equal work order per control step: measure contact-free on an open map
     # (in contact the dynamic-lite slide/penetration handling legitimately
-    # costs a few times more), retrying to ride out timer noise
+    # costs a few times more) with a 1-substep dynlite-a, retrying to ride
+    # out timer noise
     import numpy as np
     from kinnav.world import OccupancyGrid
+    monkeypatch.setitem(harness.BACKENDS, "dynlite-a", replace(PROFILES["profile-A"], substeps=1))
     grid = OccupancyGrid(np.zeros((200, 200), dtype=bool), 1.0)
     for _ in range(3):
         res = bench_throughput(grid, SPOT, backends=("kinematic", "dynlite-a"),
-                               steps=20000, warmup=2000, substeps=1)
+                               steps=20000, warmup=2000)
         if 0.5 <= res["ratio_dynlite-a"] <= 2.0:
             break
     else:
@@ -453,6 +455,14 @@ def test_bench_measurement_stability(small_setup):
             break
     else:
         pytest.fail(f"throughput unstable: {a:.0f} vs {b:.0f} steps/s")
+
+
+@pytest.mark.parametrize("steps, warmup", [(0, 10), (-5, 10), (10, -1)])
+def test_bench_refuses_bad_step_counts(small_setup, steps, warmup):
+    root, grid, map_path, ds_path = small_setup
+    with pytest.raises(ValueError, match="steps >= 1 and warmup >= 0"):
+        bench_throughput(grid, SPOT, backends=("kinematic", "dynlite-a"),
+                         steps=steps, warmup=warmup)
 
 
 def test_bench_reports_all_backends(small_setup):

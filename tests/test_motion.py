@@ -91,7 +91,7 @@ def test_clamp_returns_in_range_command_itself():
 def test_kinematic_forward():
     grid = open_grid()
     pose, blocked = kinematic_step(grid, Pose(30.0, 30.0, 0.0),
-                                   VelocityCommand(0.5, 0.0, 0.0), 1.0, SPOT)
+                                   VelocityCommand(0.5, 0.0, 0.0), SPOT)
     assert not blocked
     assert (pose.x, pose.y, pose.theta) == pytest.approx((30.5, 30.0, 0.0), abs=1e-12)
 
@@ -99,7 +99,7 @@ def test_kinematic_forward():
 def test_kinematic_frame_rotation():
     grid = open_grid()
     pose, blocked = kinematic_step(grid, Pose(30.0, 30.0, math.pi / 2),
-                                   VelocityCommand(0.5, 0.0, 0.3), 1.0, SPOT)
+                                   VelocityCommand(0.5, 0.0, 0.3), SPOT)
     assert not blocked
     assert pose.x == pytest.approx(30.0, abs=1e-12)
     assert pose.y == pytest.approx(30.5, abs=1e-12)
@@ -113,17 +113,16 @@ def test_kinematic_random_open_space_matches_euler():
         x, y = rng.uniform(10, 50, 2)
         th = rng.uniform(-math.pi, math.pi)
         cmd = clamp_command(VelocityCommand(*rng.uniform(-0.6, 0.6, 3)), SPOT)
-        dt = rng.uniform(0.1, 2.0)
-        pose, blocked = kinematic_step(grid, Pose(x, y, th), cmd, dt, SPOT)
+        pose, blocked = kinematic_step(grid, Pose(x, y, th), cmd, SPOT)
         assert not blocked
-        ex = x + (cmd.vx * math.cos(th) - cmd.vy * math.sin(th)) * dt
-        ey = y + (cmd.vx * math.sin(th) + cmd.vy * math.cos(th)) * dt
+        ex = x + (cmd.vx * math.cos(th) - cmd.vy * math.sin(th))
+        ey = y + (cmd.vx * math.sin(th) + cmd.vy * math.cos(th))
         assert pose.x == pytest.approx(ex, abs=1e-12)
         assert pose.y == pytest.approx(ey, abs=1e-12)
-        assert pose.theta == pytest.approx(wrap_angle(th + cmd.w * dt), abs=1e-12)
-        # displacement never exceeds the commanded speed times dt
+        assert pose.theta == pytest.approx(wrap_angle(th + cmd.w), abs=1e-12)
+        # displacement never exceeds the commanded speed times the 1 s step
         disp = math.hypot(pose.x - x, pose.y - y)
-        assert disp <= math.hypot(cmd.vx, cmd.vy) * dt + 1e-12
+        assert disp <= math.hypot(cmd.vx, cmd.vy) + 1e-12
 
 
 def wall_grid():
@@ -136,7 +135,7 @@ def test_kinematic_block_in_place():
     grid = wall_grid()
     # footprint face 0.35 m from the wall face at x=5
     start = Pose(5.0 - SPOT.footprint_radius - 0.35, 5.0, 0.0)
-    pose, blocked = kinematic_step(grid, start, VelocityCommand(0.5, 0.0, 0.2), 1.0, SPOT)
+    pose, blocked = kinematic_step(grid, start, VelocityCommand(0.5, 0.0, 0.2), SPOT)
     assert blocked
     assert (pose.x, pose.y) == (start.x, start.y)
     assert pose.theta == pytest.approx(0.2, abs=1e-12)  # heading still updates
@@ -144,7 +143,7 @@ def test_kinematic_block_in_place():
 
 def test_kinematic_determinism():
     grid = wall_grid()
-    args = (Pose(2.2, 3.3, 0.7), VelocityCommand(0.4, -0.2, 0.1), 1.0, SPOT)
+    args = (Pose(2.2, 3.3, 0.7), VelocityCommand(0.4, -0.2, 0.1), SPOT)
     a = kinematic_step(grid, *args)
     b = kinematic_step(grid, *args)
     assert a == b
@@ -153,7 +152,7 @@ def test_kinematic_determinism():
 def test_kinematic_start_in_collision_raises():
     grid = wall_grid()
     with pytest.raises(InconsistentStateError):
-        kinematic_step(grid, Pose(4.9, 5.0, 0.0), VelocityCommand(0.1, 0, 0), 1.0, SPOT)
+        kinematic_step(grid, Pose(4.9, 5.0, 0.0), VelocityCommand(0.1, 0, 0), SPOT)
 
 
 def test_kinematic_never_ends_in_collision():
@@ -163,7 +162,7 @@ def test_kinematic_never_ends_in_collision():
     pose = Pose(2.5, 5.0, 0.0)
     for _ in range(500):
         cmd = clamp_command(VelocityCommand(*rng.uniform(-0.6, 0.6, 3)), SPOT)
-        pose, _ = kinematic_step(grid, pose, cmd, 1.0, SPOT)
+        pose, _ = kinematic_step(grid, pose, cmd, SPOT)
         assert not checker.blocked(pose.x, pose.y)
         assert -math.pi < pose.theta <= math.pi
 
@@ -203,7 +202,7 @@ def test_dynlite_tau_equals_delta_matches_kinematic():
     cfg = DynamicLiteConfig(tau=1.0 / substeps, substeps=substeps)
     pose0 = Pose(30.0, 30.0, 0.4)
     cmd = VelocityCommand(0.4, -0.2, 0.0)  # zero w: heading identical either way
-    k_pose, _ = kinematic_step(grid, pose0, cmd, 1.0, SPOT)
+    k_pose, _ = kinematic_step(grid, pose0, cmd, SPOT)
     d_pose, vel, events = dynamic_lite_step(grid, pose0, cmd, cmd, cfg, SPOT)
     assert not events
     assert d_pose.x == pytest.approx(k_pose.x, abs=1e-6)

@@ -68,9 +68,9 @@ def test_traced_physics_counts_equal_the_exact_reference(tmp_path, monkeypatch):
     expected = Counter()
     step = task.dynamic_lite_step
 
-    def checked(grid, pose, vel, cmd, cfg, spec, dt=1.0):
-        out = step(grid, pose, vel, cmd, cfg, spec, dt)
-        events = dynlite_reference_step(grid, pose, vel, cmd, cfg, spec, dt)[2]
+    def checked(grid, pose, vel, cmd, cfg, spec):
+        out = step(grid, pose, vel, cmd, cfg, spec)
+        events = dynlite_reference_step(grid, pose, vel, cmd, cfg, spec)[2]
         falls = [k for kind, k in events if kind == "fall"]
         expected["motion.substeps"] += falls[0] + 1 if falls else cfg.substeps
         expected["motion.contact_substeps"] += len(events) - len(falls)

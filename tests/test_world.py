@@ -19,7 +19,7 @@ from kinnav.world import (CERT_EPS, DistanceField, InvalidGoalError, MapError,
 from oracles import (KDFieldReference, KDGridReference, blocked_oracle, cell_lists_reference,
                      clearance_oracle, descent_neighbor_reference, descent_path_reference, dijkstra_oracle,
                      distance_values_reference, neighbor_graph_reference, raycast_reference,
-                     raymarch_oracle, value_at_reference)
+                     raymarch_oracle, save_world_reference, value_at_reference)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -64,6 +64,23 @@ def test_roundtrip_random_map():
     doc = save_world(grid)
     again = save_world(load_world(doc))
     assert doc == again
+
+
+def test_save_world_keeps_the_cell_size():
+    # 1/3 m has no 6-digit text; the map must read back with the grid's own extent
+    grid = random_maze(33, 33, 1 / 3, seed=1)
+    back = load_world(save_world(grid))
+    assert back.cell_size == grid.cell_size
+    assert back.extent == grid.extent == (0.0, 0.0, 11.0, 11.0)
+    assert np.array_equal(back.cells, grid.cells)
+    # sizes whose 6 digits read back exactly keep the per-cell writer's bytes
+    for cs, text in ((0.25, "0.25"), (0.5, "0.5"), (1.0, "1"), (0.1, "0.1"),
+                     (100000.0, "100000"), (1e-05, "1e-05")):
+        for cells in (grid.cells, random_obstacles(17, 9, 0.5, seed=2, density=0.3).cells):
+            doc = save_world(OccupancyGrid(cells, cs))
+            assert doc == save_world_reference(OccupancyGrid(cells, cs))
+            assert doc.splitlines()[0] == f"cell_size {text}"
+            assert load_world(doc).cell_size == cs
 
 
 def test_grid_invariants():
