@@ -156,9 +156,9 @@ def run_batch(config, traj_dir=None):
 
     An episode whose rollout opens no RNG stream is simulated once (see
     _run_pairs); every seed still gets its own row and trajectory. Each input
-    file is read once, and the summary's dataset_sha256 is taken over the
-    bytes that are parsed. Workers receive those bytes with chunks of whole
-    episodes, all seeds of one episode together.
+    file is read once, and the summary's map_sha256 and dataset_sha256 are
+    taken over the bytes that are parsed. Workers receive those bytes with
+    chunks of whole episodes, all seeds of one episode together.
 
     With traj_dir, each pair's trajectory is written there as
     traj_s<seed>_e<episode_id>.csv, by whichever worker evaluates it.
@@ -182,14 +182,16 @@ def run_batch(config, traj_dir=None):
                                  repeat(traj_dir)):
                 rows.extend(part)
     rows.sort(key=lambda r: (r["seed"], r["episode_id"]))
-    summary = _summarize(config, rows, hashlib.sha256(contents[1]).hexdigest())
+    map_sha256, dataset_sha256 = (hashlib.sha256(c).hexdigest() for c in contents[:2])
+    summary = _summarize(config, rows, map_sha256, dataset_sha256)
     return summary, rows
 
 
-def _summarize(config, rows, dataset_sha256):
+def _summarize(config, rows, map_sha256, dataset_sha256):
     summary = {
         "label": config.label,
         "map": config.map_path,
+        "map_sha256": map_sha256,
         "dataset": config.dataset_path,
         "dataset_sha256": dataset_sha256,
         "robot": config.robot,
@@ -255,7 +257,11 @@ def load_run(out_dir):
 
 
 class DatasetMismatchError(ValueError):
-    """Gap comparison across different datasets or seed sets refused."""
+    """Gap comparison across different maps, datasets or seed sets refused."""
+
+
+# summary keys that every run in one gap table must share
+_SHARED_KEYS = ("map_sha256", "dataset_sha256", "seeds")
 
 
 @dataclass
@@ -286,22 +292,24 @@ class GapTable:
 def sim2sim_gap(results_by_label):
     """Build a GapTable from {label: (summary, rows)} pairs.
 
-    Refuses to compare runs evaluated on different datasets or seed sets, or
-    runs whose summary does not record them.
+    Refuses to compare runs evaluated on different maps, datasets or seed
+    sets (maps and datasets by the SHA-256 of their bytes), or runs whose
+    summary does not record them. Noise is part of a condition, so it may
+    differ.
     """
     labels = sorted(results_by_label)
     ref = None
     sr = {}
     for label in labels:
         summary, rows = results_by_label[label]
-        for k in ("dataset_sha256", "seeds"):
+        for k in _SHARED_KEYS:
             if k not in summary:
                 raise DatasetMismatchError(f"run {label!r} has no {k!r} in its summary")
-        key = (summary["dataset_sha256"], summary["seeds"])
+        key = tuple(summary[k] for k in _SHARED_KEYS)
         ref = ref or key
         if key != ref:
             raise DatasetMismatchError(
-                f"run {label!r} used a different dataset or seeds")
+                f"run {label!r} used a different map, dataset or seeds")
         if not rows:
             raise DatasetMismatchError(f"run {label!r} has no episodes")
         sr[label] = 100.0 * sum(r["success"] for r in rows) / len(rows)

@@ -226,6 +226,20 @@ class _CollisionChecker:
     radius - nearest(), and near() is the proximity test
     clearance - radius < margin.
 
+    nearest() keeps a one-entry memo: the last point it scanned and the
+    distance it returned. A query with the same x and y (==) gets that
+    distance without a scan, so blocked(), certify(), near() and
+    penetration() share it. A kinematic step tests the pose the previous step
+    ended on, and NavEnv.step's near() measures the pose the step just
+    tested, so most queries of a kinematic run repeat the one before. The
+    memo cannot go stale: the grid's cells are read-only bytes and the
+    checker's radius and lists never change, so the answer depends on x and
+    y alone. Only points strictly inside the grid are scanned and
+    remembered; a point on or beyond the edge, -0.0 included, is answered
+    0.0 before any scan, and a NaN never equals the memo, so it always takes
+    the full path. The memo is one tuple, stored in one step, so a checker
+    shared between threads never pairs one point with another's distance.
+
     certify() gives blocked()'s answer together with a disc around the query
     point on which blocked() gives that same answer. The clearance is
     1-Lipschitz, so with d = nearest(p):
@@ -257,6 +271,8 @@ class _CollisionChecker:
         self._exact_to = radius + self.cap
         self._free_from = radius + CERT_EPS
         self._blocked_to = radius - CERT_EPS
+        # nearest()'s memo (x, y, distance), empty until the first scan: NaN matches no query
+        self._last = (math.nan, math.nan, math.nan)
         # rects within radius + cap of a point, via their centers, from anywhere in the cell
         self._lists = self._cell_lists(radius + self.cap + SQRT2 * cs)
 
@@ -306,6 +322,9 @@ class _CollisionChecker:
         the rects, so it never understates the clearance, but above
         radius + cap it may overstate it. Zero outside the grid.
         """
+        last = self._last
+        if x == last[0] and y == last[1]:
+            return last[2]
         best = x
         d = self._x1 - x
         if d < best:
@@ -336,6 +355,7 @@ class _CollisionChecker:
             d = math.hypot(dx, dy)
             if d < best:
                 best = d
+        self._last = (x, y, best)
         return best
 
     def penetration(self, x, y):

@@ -1,4 +1,5 @@
 import csv
+import math
 import os
 from importlib import resources
 
@@ -6,9 +7,10 @@ import numpy as np
 import pytest
 
 from kinnav.cli import main
+from kinnav.episodes import read_dataset
 from kinnav.maps import random_maze
 from kinnav.noise import load_noise_model
-from kinnav.world import save_world
+from kinnav.world import OccupancyGrid, load_world, save_world
 
 
 @pytest.fixture(scope="module")
@@ -209,7 +211,7 @@ def test_run_rejects_duplicate_seeds(workspace, capsys):
     assert not os.path.exists(str(root / "dup"))
 
 
-@pytest.mark.parametrize("key", ["dataset_sha256", "seeds"])
+@pytest.mark.parametrize("key", ["dataset_sha256", "seeds", "map_sha256"])
 def test_gap_names_missing_summary_key(workspace, capsys, key):
     root, map_path = workspace
     ds = str(root / "nokey_eps.jsonl")
@@ -224,6 +226,32 @@ def test_gap_names_missing_summary_key(workspace, capsys, key):
     capsys.readouterr()
     assert main(["gap", "--results", str(results)]) == 2
     assert (f"error: run 'spot-kinematic-oracle' has no '{key}' in its summary"
+            in capsys.readouterr().err)
+
+
+def test_gap_refuses_runs_on_different_maps(workspace, capsys):
+    root, map_path = workspace
+    ds = str(root / "maps_eps.jsonl")
+    assert main(["gen-episodes", "--map", map_path, "--n", "4", "--out", ds]) == 0
+    grid = load_world(open(map_path).read())
+    eps = read_dataset(ds).episodes
+    ends = [(ep.start.x, ep.start.y) for ep in eps] + [ep.goal for ep in eps]
+    # a copy with four free cells closed, all away from every start and goal
+    cells = np.array(grid.cells)
+    far = [(iy, ix) for iy, ix in np.argwhere(~cells).tolist()
+           if min(math.dist(grid.cell_center(ix, iy), p) for p in ends) > 1.5]
+    assert len(far) >= 4
+    for iy, ix in far[:4]:
+        cells[iy, ix] = True
+    closed = root / "closed.map"
+    closed.write_text(save_world(OccupancyGrid(cells, grid.cell_size)))
+    results = root / "two_maps"
+    for backend, path in (("kinematic", map_path), ("dynlite-b", str(closed))):
+        assert main(["run", "--map", path, "--dataset", ds, "--seeds", "0",
+                     "--backend", backend, "--out", str(results / backend)]) == 0
+    capsys.readouterr()
+    assert main(["gap", "--results", str(results)]) == 2
+    assert ("error: run 'spot-kinematic-oracle' used a different map, dataset or seeds"
             in capsys.readouterr().err)
 
 

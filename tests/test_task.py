@@ -354,6 +354,42 @@ def test_proximity_count_matches_logged_clearance(cell_size):
             rec["clearance"] - SPOT.footprint_radius < PROXIMITY_MARGIN for rec in res.trajectory)
 
 
+class CountingLists(list):
+    """A collision checker's per-cell list table that counts the lists read from it."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return list.__getitem__(self, i)
+
+
+def test_kinematic_step_scans_one_cell_list():
+    # the step's start pose was tested by the previous step (or reset), and
+    # near() measures the pose the step just tested: only a new candidate is
+    # scanned, and near() scans the start again after a blocked one
+    grid = random_maze(33, 33, 0.25, seed=31)
+    checker = grid.collision_checker(SPOT.footprint_radius)
+    checker._lists = lists = CountingLists(checker._lists)
+    steps = 0
+    for ep in sample_episodes(grid, 3, seed=7, largest_spec=SPOT).episodes:
+        field = distance_field(grid, ep.goal, SPOT.footprint_radius)
+        env = NavEnv(grid, SPOT, sensor=SensorConfig(expose_pose=True))
+        agent = OracleAgent(field, SPOT)
+        obs = env.reset(ep, field)
+        memory = agent.reset()
+        done = False
+        while not done:
+            action, memory = agent.act(obs, memory)
+            lists.reads = 0
+            start = env.pose
+            obs, _, done, info = env.step(action)
+            moved = (env.pose.x, env.pose.y) != (start.x, start.y)
+            assert lists.reads == (2 if info["blocked"] else int(moved))
+            steps += moved
+    assert steps > 20
+
+
 def test_trajectory_only_when_recorded():
     grid = open_grid()
     goal = (25.5, 20.5)

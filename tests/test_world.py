@@ -571,6 +571,48 @@ def test_certified_discs_agree_with_blocked():
                         assert checker.blocked(qx, qy) == hit, (x, y, qx, qy)
 
 
+def test_memo_answers_as_a_fresh_checker():
+    grid = random_maze(17, 17, 0.25, seed=3)
+    _, _, x1, y1 = grid.extent
+    clear = {p: grid.clearance(*p)
+             for p in map(tuple, np.random.default_rng(4).uniform(0, x1, (400, 2)).tolist())}
+    a = max(clear, key=clear.get)
+    # clearance between the two radii: blocked for one checker, free for the other
+    b = next(p for p, c in clear.items() if 0.22 < c < 0.28)
+    c = next(p for p, c in clear.items() if c < 0.1)
+
+    def fresh(radius):
+        return OccupancyGrid(grid.cells, grid.cell_size).collision_checker(radius)
+
+    # beyond radius + cap nearest() may overstate the clearance, by how much
+    # depends on the radius
+    small, large = fresh(0.2), fresh(0.3)
+    d = next(p for p in clear if small.nearest(*p) != large.nearest(*p))
+    nan = math.nan
+    queries = [a, a, b, a, b, b, c, c, d, d, a, d,
+               (0.0, 1.0), (-0.0, 1.0), (0.0, 1.0), (1.0, -0.0), (1.0, 0.0),
+               (-0.5, 1.0), (x1 + 0.5, 1.0), (x1, 1.0), (1.0, y1), b,
+               (nan, 1.0), (nan, 1.0), (1.0, nan), (1.0, nan), b, (b[0], nan), b]
+    calls = [lambda ch, x, y: ch.nearest(x, y), lambda ch, x, y: ch.blocked(x, y),
+             lambda ch, x, y: ch.penetration(x, y), lambda ch, x, y: ch.certify(x, y),
+             lambda ch, x, y: ch.near(x, y, PROXIMITY_MARGIN)]
+
+    def outcome(call, checker, x, y):
+        try:
+            return repr(call(checker, x, y))  # repr tells -0.0 from 0.0
+        except ValueError as exc:
+            return type(exc)
+
+    # two radii on one grid, queried in turn: each checker keeps its own memo
+    checkers = [grid.collision_checker(0.2), grid.collision_checker(0.3)]
+    for k, (x, y) in enumerate(queries):
+        for checker in checkers:
+            for call in calls:
+                assert (outcome(call, checker, x, y)
+                        == outcome(call, fresh(checker.radius), x, y)), (k, x, y)
+    assert checkers[0].blocked(*b) != checkers[1].blocked(*b)
+
+
 def boundary_points(inside, a, b):
     """Points on segment a-b where inside() flips, bisected to adjacent floats, and neighbors."""
     def at(t):
