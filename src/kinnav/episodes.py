@@ -33,21 +33,25 @@ class EpisodeDataset:
     episodes: list
 
 
-def validate_episode(grid, start, goal, largest_spec, ratio_min=DEFAULT_RATIO_MIN,
-                     dist_field=None):
+def validate_episode(grid, start, goal, largest_spec, ratio_min=DEFAULT_RATIO_MIN, *,
+                     dist_field):
     """Accept/reject a (start Pose, goal point) pair. Returns (accepted, reason).
 
-    Rules: geodesic distance in [1, 30] m and geodesic/euclidean ratio at
-    least ratio_min (rejects near-straight paths). The field is built over the
-    grid inflated by the largest robot's footprint, so a finite start value
-    already means a descent path on which that footprint stays clear. A given
-    dist_field must therefore be for that footprint radius (ValueError if not).
+    This is the whole episode rule; sample_episodes applies it unchanged.
+    Rules, in the order they are checked: geodesic distance in [1, 30] m,
+    geodesic/euclidean ratio at least ratio_min (rejects near-straight
+    paths), and a start that the footprint can occupy as write_dataset stores
+    it, rounded to 6 significant digits (`start_blocked` when its clearance
+    is below the footprint radius, so an accepted start loads into NavEnv).
+    dist_field is the goal's field over the grid inflated by the largest
+    robot's footprint, so a finite start value already means a descent path
+    on which that footprint stays clear; a field for another radius is a
+    ValueError.
     """
-    if dist_field is None:
-        dist_field = distance_field(grid, goal, largest_spec.footprint_radius)
-    elif dist_field.robot_radius != float(largest_spec.footprint_radius):
+    radius = largest_spec.footprint_radius
+    if dist_field.robot_radius != float(radius):
         raise ValueError(f"dist_field built for radius {dist_field.robot_radius}, "
-                         f"not the footprint radius {largest_spec.footprint_radius}")
+                         f"not the footprint radius {radius}")
     sx, sy = start.x, start.y
     six, siy = grid.world_to_cell(sx, sy)
     d_geo = dist_field.values[siy, six]
@@ -60,6 +64,8 @@ def validate_episode(grid, start, goal, largest_spec, ratio_min=DEFAULT_RATIO_MI
     d_euclid = math.hypot(goal[0] - sx, goal[1] - sy)
     if d_euclid <= 0 or d_geo / d_euclid < ratio_min:
         return False, "near_straight"
+    if grid.clearance(_round6(sx), _round6(sy)) < radius:
+        return False, "start_blocked"
     return True, ""
 
 
@@ -68,12 +74,10 @@ def sample_episodes(grid, n, seed, largest_spec, ratio_min=DEFAULT_RATIO_MIN,
     """Rejection-sample n valid episodes; deterministic for a given seed.
 
     Start and goal positions are sampled uniformly over free, non-inflated cell
-    centers; the start heading is uniform in (-pi, pi]. A start that is free
-    itself but blocked as write_dataset stores it, rounded to 6 significant
-    digits, is rejected (`start_blocked`), so a written dataset always loads
-    into NavEnv. Blocked is clearance below the footprint radius, which
-    needs no collision checker. After 1000 * n attempts (at least one) it
-    gives up with a GenerationError.
+    centers; the start heading is uniform in (-pi, pi]. Each pair is accepted
+    or rejected by validate_episode, which holds the episode rule, the start
+    check included, so a written dataset always loads into NavEnv. After
+    1000 * n attempts (at least one) it gives up with a GenerationError.
     """
     max_attempts = max(1000 * n, 1)
     radius = largest_spec.footprint_radius
@@ -108,8 +112,6 @@ def sample_episodes(grid, n, seed, largest_spec, ratio_min=DEFAULT_RATIO_MIN,
             field = distance_field(grid, goal, radius)
         ok, reason = validate_episode(grid, start, goal, largest_spec, ratio_min,
                                       dist_field=field)
-        if ok and grid.clearance(_round6(start.x), _round6(start.y)) < radius:
-            ok, reason = False, "start_blocked"
         if not ok:
             rejects[reason] = rejects.get(reason, 0) + 1
             continue
@@ -151,7 +153,7 @@ def write_dataset(ds, path_or_stream):
 
 
 def read_dataset(path_or_stream):
-    """Parse a dataset: ids dense from 0, each geodesic_distance positive and finite."""
+    """Parse a dataset: ids dense from 0, finite starts and goals, positive finite geodesics."""
     with opened(path_or_stream, "r") as f:
         text = f.read()
     lines = [ln for ln in text.splitlines() if ln.strip()]
@@ -178,9 +180,13 @@ def read_dataset(path_or_stream):
             ))
         except (json.JSONDecodeError, KeyError, TypeError, ValueError, IndexError):
             raise DatasetError(f"line {i}: malformed episode record") from None
-        if not 0 < episodes[-1].geodesic_distance < math.inf:
+        ep = episodes[-1]
+        if not all(map(math.isfinite, (*ep.start, *ep.goal))):
+            raise DatasetError(f"line {i}: start and goal must be finite, "
+                               f"got start {list(ep.start)} and goal {list(ep.goal)}")
+        if not 0 < ep.geodesic_distance < math.inf:
             raise DatasetError(f"line {i}: geodesic_distance must be positive and finite, "
-                               f"got {episodes[-1].geodesic_distance}")
+                               f"got {ep.geodesic_distance}")
     ids = [ep.episode_id for ep in episodes]
     if ids != list(range(len(ids))):
         raise DatasetError("episode ids must be unique and dense from 0")

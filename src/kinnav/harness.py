@@ -6,7 +6,7 @@ import io
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 
 import numpy as np
@@ -45,7 +45,11 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """One evaluation condition: backend, noise, robot, dataset, seeds."""
+    """One evaluation condition: backend, noise, robot, dataset, seeds.
+
+    label is derived from robot, backend, noise and agent, so a copy made by
+    `dataclasses.replace` is labelled by what it runs.
+    """
 
     map_path: str
     dataset_path: str
@@ -55,7 +59,7 @@ class EvalConfig:
     agent: str = "oracle"
     seeds: tuple = (0, 1, 2)
     workers: int = 1
-    label: str = None
+    label: str = field(init=False)
 
     def __post_init__(self):
         if self.backend not in BACKENDS:
@@ -68,10 +72,9 @@ class EvalConfig:
             raise ConfigError("workers must be at least 1")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"duplicate seeds in {self.seeds}")
-        if self.label is None:
-            noise_tag = "-noise" if self.noise_path else ""
-            object.__setattr__(
-                self, "label", f"{self.robot}-{self.backend}{noise_tag}-{self.agent}")
+        noise_tag = "-noise" if self.noise_path else ""
+        object.__setattr__(
+            self, "label", f"{self.robot}-{self.backend}{noise_tag}-{self.agent}")
 
 
 @functools.lru_cache(maxsize=8)
@@ -323,8 +326,8 @@ def bench_throughput(grid, spec, backends=BACKENDS, steps=2000, warmup=1000):
     """Control-steps per second for each backend on the same map and agent.
 
     Observational only: every backend runs the same `warmup` and then `steps`
-    timed random commands from a fixed seed. ValueError unless steps >= 1 and
-    warmup >= 0.
+    timed random commands from a fixed seed, through one loop. ValueError
+    unless steps >= 1 and warmup >= 0.
     Returns {backend: steps/sec} plus 'ratio_<b>' entries relative to kinematic.
     """
     if steps < 1 or warmup < 0:
@@ -342,21 +345,20 @@ def bench_throughput(grid, spec, backends=BACKENDS, steps=2000, warmup=1000):
         rng.uniform(-spec.ang_limit, spec.ang_limit, total)])]
     results = {}
     for backend in backends:
-        pose = Pose(start[0], start[1], 0.0)
-        vel = VelocityCommand(0.0, 0.0, 0.0)
         cfg = BACKENDS[backend]
         if cfg is None:
-            for cmd in cmds[:warmup]:
-                pose, _ = kinematic_step(grid, pose, cmd, spec)
-            t0 = time.perf_counter()
-            for cmd in cmds[warmup:]:
-                pose, _ = kinematic_step(grid, pose, cmd, spec)
+            def step(pose, vel, cmd):
+                return kinematic_step(grid, pose, cmd, spec)[0], vel
         else:
-            for cmd in cmds[:warmup]:
-                pose, vel, _ = dynamic_lite_step(grid, pose, vel, cmd, cfg, spec)
-            t0 = time.perf_counter()
-            for cmd in cmds[warmup:]:
-                pose, vel, _ = dynamic_lite_step(grid, pose, vel, cmd, cfg, spec)
+            def step(pose, vel, cmd):
+                return dynamic_lite_step(grid, pose, vel, cmd, cfg, spec)[:2]
+        pose = Pose(start[0], start[1], 0.0)
+        vel = VelocityCommand(0.0, 0.0, 0.0)
+        for cmd in cmds[:warmup]:
+            pose, vel = step(pose, vel, cmd)
+        t0 = time.perf_counter()
+        for cmd in cmds[warmup:]:
+            pose, vel = step(pose, vel, cmd)
         results[backend] = steps / (time.perf_counter() - t0)
     if "kinematic" in results:
         for backend in backends:

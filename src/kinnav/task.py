@@ -19,7 +19,6 @@ TRAJ_TYPES = {"step": int, "x": float, "y": float, "theta": float,
               "cmd_vx": float, "cmd_vy": float, "cmd_w": float,
               "applied_vx": float, "applied_vy": float, "applied_w": float,
               "dgeo": float, "reward": float, "blocked": int, "clearance": float}
-TRAJ_FIELDS = tuple(TRAJ_TYPES)
 
 
 class EpisodeFinishedError(RuntimeError):
@@ -120,17 +119,17 @@ def observe(grid, pose, goal, cfg):
     )
 
 
-def reward(prev_dgeo, new_dgeo, blocked, cmd, terminal, cfg):
-    """Shaped navigation reward: geodesic progress plus the fixed penalty terms."""
-    r = (prev_dgeo - new_dgeo) + cfg.slack
+def reward(prev_dgeo, new_dgeo, blocked, cmd, terminal):
+    """Shaped navigation reward: geodesic progress plus the RewardConfig() penalty terms."""
+    r = (prev_dgeo - new_dgeo) + _REWARD.slack
     if blocked:
-        r += cfg.coll
+        r += _REWARD.coll
     if terminal == "fall":
-        r += cfg.fall
+        r += _REWARD.fall
     elif terminal == "success":
-        r += cfg.success
+        r += _REWARD.success
     if cmd.vx < 0:
-        r += cfg.backward
+        r += _REWARD.backward
     return r
 
 
@@ -169,13 +168,13 @@ class NavEnv:
     dyn_config selects the backend: None steps the kinematic backend, and a
     DynamicLiteConfig steps dynamic-lite with that config.
 
-    With record_trajectory=True every step appends a TRAJ_FIELDS record,
+    With record_trajectory=True every step appends a TRAJ_TYPES record,
     including the exact clearance at the new pose, to the episode's
     trajectory; otherwise the trajectory stays empty and no step pays for it.
     """
 
     def __init__(self, grid, spec, dyn_config=None, noise_model=None, rng=None,
-                 sensor=None, record_trajectory=False):
+                 sensor=SensorConfig(), record_trajectory=False):
         if noise_model is not None and rng is None:
             raise ValueError("noise injection needs an rng")
         self.grid = grid
@@ -183,7 +182,7 @@ class NavEnv:
         self.dyn_config = dyn_config
         self.noise_model = noise_model
         self.rng = rng
-        self.sensor = sensor or SensorConfig()
+        self.sensor = sensor
         self.record_trajectory = record_trajectory
         self._checker = grid.collision_checker(spec.footprint_radius)
         self.episode = None
@@ -266,7 +265,7 @@ class NavEnv:
         elif self.num_actions >= self.spec.max_steps:
             self.done, self.reason = True, "step_budget"
 
-        r = reward(self.prev_dgeo, new_dgeo, blocked, cmd, terminal, _REWARD)
+        r = reward(self.prev_dgeo, new_dgeo, blocked, cmd, terminal)
         r_geo = self.prev_dgeo - new_dgeo
         self.prev_dgeo = new_dgeo
         self.total_reward += r

@@ -107,9 +107,9 @@ def test_criterion_3_reward_fidelity(eval_setup):
         cfg = RewardConfig()
         assert (cfg.coll, cfg.fall, cfg.success, cfg.slack, cfg.backward) == \
             (-0.03, -5.0, 10.0, -0.002, -0.03)
-        assert reward(5.0, 4.5, False, VelocityCommand(0.3, 0, 0), "none", cfg) \
+        assert reward(5.0, 4.5, False, VelocityCommand(0.3, 0, 0), "none") \
             == pytest.approx(0.498, abs=1e-12)
-        assert reward(4.0, 4.0, True, VelocityCommand(-0.2, 0, 0), "none", cfg) \
+        assert reward(4.0, 4.0, True, VelocityCommand(-0.2, 0, 0), "none") \
             == pytest.approx(-0.062, abs=1e-12)
 
         # telescoping of the geodesic-progress term on 100 random rollouts

@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 import os
 from importlib import resources
@@ -267,3 +268,20 @@ def test_run_rejects_non_finite_noise(workspace, capsys):
                  "--seeds", "0", "--out", str(root / "nan_run")]) == 2
     assert "error: mu and sigma must be finite" in capsys.readouterr().err
     assert not os.path.exists(str(root / "nan_run"))
+
+
+def test_run_names_the_line_of_a_non_finite_start(workspace, capsys):
+    root, map_path = workspace
+    ds = str(root / "nan_start_eps.jsonl")
+    assert main(["gen-episodes", "--map", map_path, "--n", "2", "--out", ds]) == 0
+    lines = open(ds).read().splitlines()
+    rec = json.loads(lines[2])
+    rec["start"][1] = "NaN"
+    lines[2] = json.dumps(rec).replace('"NaN"', "NaN")
+    with open(ds, "w") as f:
+        f.write("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["run", "--map", map_path, "--dataset", ds, "--seeds", "0",
+                 "--out", str(root / "nan_start_run")]) == 2
+    assert "error: line 3: start and goal must be finite" in capsys.readouterr().err
+    assert not os.path.exists(str(root / "nan_start_run"))

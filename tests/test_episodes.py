@@ -1,4 +1,5 @@
 import io
+import json
 import math
 
 import numpy as np
@@ -10,8 +11,8 @@ from kinnav.episodes import (DEFAULT_RATIO_MIN, DatasetError, GenerationError,
 from kinnav.maps import random_maze
 from kinnav.motion import Pose
 from kinnav.robots import ALIENGO, SPOT
-from kinnav.task import NavEnv
-from kinnav.world import distance_field, load_world
+from kinnav.task import Episode, InvalidEpisodeError, NavEnv
+from kinnav.world import OccupancyGrid, distance_field, load_world
 
 from oracles import dijkstra_oracle
 
@@ -23,14 +24,18 @@ def open_doc(n, cs=1.0):
 def test_reject_too_short():
     grid = load_world(open_doc(12, cs=0.5))
     # adjacent cells: geodesic one 0.5 m move, below the 1 m floor
-    ok, reason = validate_episode(grid, Pose(2.75, 2.75, 0.0), (3.25, 2.75), SPOT)
+    goal = (3.25, 2.75)
+    ok, reason = validate_episode(grid, Pose(2.75, 2.75, 0.0), goal, SPOT,
+                                  dist_field=distance_field(grid, goal, SPOT.footprint_radius))
     assert not ok and reason == "too_short"
 
 
 def test_reject_near_straight():
     grid = load_world(open_doc(12))
     # open room: geodesic equals the straight diagonal, ratio < 1.1
-    ok, reason = validate_episode(grid, Pose(2.5, 2.5, 0.0), (8.5, 8.5), SPOT)
+    goal = (8.5, 8.5)
+    ok, reason = validate_episode(grid, Pose(2.5, 2.5, 0.0), goal, SPOT,
+                                  dist_field=distance_field(grid, goal, SPOT.footprint_radius))
     assert not ok and reason == "near_straight"
 
 
@@ -38,7 +43,9 @@ def test_reject_unreachable():
     rows = ["........", "........", "........", "########",
             "........", "........", "........", "........"]
     grid = load_world("cell_size 1\n" + "\n".join(rows) + "\n")
-    ok, reason = validate_episode(grid, Pose(1.5, 6.5, 0.0), (6.5, 1.5), SPOT)
+    goal = (6.5, 1.5)
+    ok, reason = validate_episode(grid, Pose(1.5, 6.5, 0.0), goal, SPOT,
+                                  dist_field=distance_field(grid, goal, SPOT.footprint_radius))
     assert not ok and reason == "unreachable"
 
 
@@ -95,7 +102,9 @@ def test_sample_revalidates():
     assert len(ds.episodes) == 50
     assert [ep.episode_id for ep in ds.episodes] == list(range(50))
     for ep in ds.episodes:
-        ok, reason = validate_episode(grid, ep.start, ep.goal, SPOT)
+        ok, reason = validate_episode(
+            grid, ep.start, ep.goal, SPOT,
+            dist_field=distance_field(grid, ep.goal, SPOT.footprint_radius))
         assert ok, f"episode {ep.episode_id}: {reason}"
         assert 1.0 <= ep.geodesic_distance <= 30.0
         # recorded geodesic matches a fresh field
@@ -168,3 +177,32 @@ def test_dataset_rejects_non_positive_or_non_finite_geodesic(geodesic, shown):
         read_dataset(io.StringIO("\n".join([header, good, bad]) + "\n"))
     assert str(exc.value) == \
         f"line 3: geodesic_distance must be positive and finite, got {shown}"
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("key, index", [("start", 0), ("start", 1), ("start", 2),
+                                        ("goal", 0), ("goal", 1)])
+def test_dataset_rejects_non_finite_start_or_goal(key, index, value):
+    header = '{"scene_id":"s","robot":"spot","seed":0,"ratio_min":1.1}'
+    good = '{"episode_id":0,"scene_id":"s","start":[1,1,0],"goal":[3,3],"geodesic_distance":4}'
+    rec = json.loads(good.replace('"episode_id":0', '"episode_id":1'))
+    rec[key][index] = value
+    bad = json.dumps(rec, separators=(",", ":")).replace(f'"{value}"', value)
+    with pytest.raises(DatasetError, match=r"^line 3: start and goal must be finite"):
+        read_dataset(io.StringIO("\n".join([header, good, bad]) + "\n"))
+
+
+def test_validate_rejects_start_the_footprint_cannot_occupy():
+    cells = np.zeros((40, 40), dtype=bool)
+    cells[20, 5:] = True  # wall at y in [5, 5.25), open for x < 1.25
+    grid = OccupancyGrid(cells, 0.25)
+    start, goal = Pose(5.125, 4.73, 0.0), (5.125, 7.125)
+    # the start's cell centre is clear, the start itself is 0.27 m from the wall
+    ix, iy = grid.world_to_cell(start.x, start.y)
+    assert grid.passable_mask(SPOT.footprint_radius)[iy, ix]
+    assert grid.clearance(start.x, start.y) < SPOT.footprint_radius
+    field = distance_field(grid, goal, SPOT.footprint_radius)
+    ok, reason = validate_episode(grid, start, goal, SPOT, dist_field=field)
+    assert (ok, reason) == (False, "start_blocked")
+    with pytest.raises(InvalidEpisodeError):
+        NavEnv(grid, SPOT).reset(Episode(0, "s", start, goal, 1.0), field)

@@ -54,6 +54,15 @@ def test_eval_config_validation(small_setup):
     assert cfg.label == "spot-dynlite-a-oracle"
 
 
+def test_label_follows_a_replaced_condition():
+    cfg = EvalConfig("maze.map", "episodes.jsonl")
+    assert replace(cfg, backend="dynlite-b").label == "spot-dynlite-b-oracle"
+    assert replace(cfg, robot="a1", noise_path="spot.noise", agent="random").label == \
+        "a1-kinematic-noise-random"
+    with pytest.raises(TypeError):
+        EvalConfig("maze.map", "episodes.jsonl", label="kin")
+
+
 def test_oracle_kinematic_batch(small_setup):
     root, grid, map_path, ds_path = small_setup
     cfg = EvalConfig(map_path, ds_path, seeds=(0,), workers=1)
@@ -393,7 +402,7 @@ def test_read_episode_rows_rejects_bad_rows(small_setup, tmp_path, edit, message
 
 def test_gap_zero_for_identical_runs(small_setup):
     root, grid, map_path, ds_path = small_setup
-    cfg = EvalConfig(map_path, ds_path, seeds=(0,), label="kin")
+    cfg = EvalConfig(map_path, ds_path, seeds=(0,))
     summary, rows = run_batch(cfg)
     table = sim2sim_gap({"a": (summary, rows), "b": (summary, rows)})
     assert table.gap("a", "b") == 0.0

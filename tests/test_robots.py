@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from kinnav.robots import (A1, ALIENGO, ROBOTS, SPOT, RobotSpec,
@@ -35,8 +37,23 @@ def test_preset_identities():
 
 def test_spec_invariants():
     with pytest.raises(ValueError):
-        RobotSpec("bad", 0.5, 0.6, 0.3, 100, 0.4, 0.3)  # lin over 0.5
+        RobotSpec("bad", 0.5, 0.4, 0.3)  # lin over 0.5
     with pytest.raises(ValueError):
-        RobotSpec("bad", 0.5, 0.4, -0.3, 100, 0.4, 0.3)
+        RobotSpec("bad", 0.44, -0.4, 0.3)
     with pytest.raises(ValueError):
-        RobotSpec("bad", 0.5, 0.4, 0.3, 0, 0.4, 0.3)
+        RobotSpec("bad", 0.44, 0.4, 0.0)
+
+
+def test_limits_follow_the_leg_length():
+    spec = replace(SPOT, leg_length=0.25)
+    assert (spec.lin_limit, spec.ang_limit, spec.max_steps) == \
+        (ALIENGO.lin_limit, ALIENGO.ang_limit, ALIENGO.max_steps)
+
+
+@pytest.mark.parametrize("leg", [0.004, 0.0045])
+def test_leg_too_short_for_a_limit(leg):
+    # 0.004 m rounds both limits to 0, 0.0045 m only the angular one
+    with pytest.raises(ValueError, match="rounds a velocity limit to 0"):
+        derive_robot_params(leg)
+    with pytest.raises(ValueError, match="rounds a velocity limit to 0"):
+        RobotSpec("tiny", leg, 0.1, 0.1)

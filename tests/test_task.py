@@ -11,14 +11,11 @@ from kinnav.motion import PROFILES, Pose, VelocityCommand
 from kinnav.noise import reference_model
 from kinnav.robots import SPOT
 from kinnav.task import (PROXIMITY_MARGIN, Episode, EpisodeFinishedError,
-                         InvalidEpisodeError, NavEnv, RewardConfig,
-                         SensorConfig, compute_spl, depth_fan, observe,
-                         read_trajectory, reward, write_trajectory)
+                         InvalidEpisodeError, NavEnv, SensorConfig, compute_spl,
+                         depth_fan, observe, read_trajectory, reward, write_trajectory)
 from kinnav.world import OccupancyGrid, distance_field, load_world
 
 from oracles import raycast_reference
-
-CFG = RewardConfig()
 
 
 def open_grid(n=40, cs=1.0):
@@ -143,22 +140,22 @@ def test_pose_only_exposed_when_configured():
 
 
 def test_reward_progress_spot_value():
-    r = reward(5.0, 4.5, False, VelocityCommand(0.3, 0, 0), "none", CFG)
+    r = reward(5.0, 4.5, False, VelocityCommand(0.3, 0, 0), "none")
     assert r == pytest.approx(0.498, abs=1e-12)
 
 
 def test_reward_blocked_backward_spot_value():
-    r = reward(4.0, 4.0, True, VelocityCommand(-0.2, 0, 0), "none", CFG)
+    r = reward(4.0, 4.0, True, VelocityCommand(-0.2, 0, 0), "none")
     assert r == pytest.approx(-0.062, abs=1e-12)
 
 
 def test_reward_success_spot_value():
-    r = reward(0.3, 0.0, False, VelocityCommand(0.1, 0, 0), "success", CFG)
+    r = reward(0.3, 0.0, False, VelocityCommand(0.1, 0, 0), "success")
     assert r == pytest.approx(10.298, abs=1e-12)
 
 
 def test_reward_fall():
-    r = reward(2.0, 2.0, True, VelocityCommand(0.2, 0, 0), "fall", CFG)
+    r = reward(2.0, 2.0, True, VelocityCommand(0.2, 0, 0), "fall")
     assert r == pytest.approx(-0.03 - 5.0 - 0.002, abs=1e-12)
 
 
