@@ -38,6 +38,11 @@ class OracleAgent:
     first cell that turns off the line of the first move or lies beyond
     lin_limit * 1 s (NavEnv's control period), so it reads at most
     lin_limit / cell_size + 1 cells of the path, whatever its length.
+
+    Off the lattice, or on an inflated cell's center, it heads for the center
+    of the cell that minimizes DistanceField.value_at's 3x3 envelope
+    (DistanceField.lower_envelope), and raises NoPathError when no cell of
+    that block is finite.
     """
 
     def __init__(self, dist_field, spec):
@@ -97,24 +102,11 @@ class OracleAgent:
                 target = (nx, ny)
                 cell = step(cell)
             return target
-        # off the lattice (or in an inflated cell): head for the best nearby center
-        best = None
-        best_d = math.inf
-        for dy in (-1, 0, 1):
-            for dx in (-1, 0, 1):
-                nx, ny = ix + dx, iy + dy
-                if 0 <= nx < w and 0 <= ny < grid.height:
-                    v = vals[ny * w + nx]
-                    if math.isfinite(v):
-                        px, py = grid.cell_center(nx, ny)
-                        step = math.hypot(pose.x - px, pose.y - py)
-                        d = v + step
-                        if d < best_d and step > 1e-9:
-                            best_d = d
-                            best = (px, py)
-        if best is None:
+        # off the lattice (or in an inflated cell): head for value_at's minimizer
+        _, cell = field.lower_envelope(pose.x, pose.y)
+        if cell is None:
             raise NoPathError(f"no reachable cell near ({pose.x}, {pose.y})")
-        return best
+        return grid.cell_center(*cell)
 
 
 class RandomAgent:

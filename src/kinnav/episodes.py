@@ -38,21 +38,29 @@ def validate_episode(grid, start, goal, largest_spec, ratio_min=DEFAULT_RATIO_MI
     """Accept/reject a (start Pose, goal point) pair. Returns (accepted, reason).
 
     This is the whole episode rule; sample_episodes applies it unchanged.
-    Rules, in the order they are checked: geodesic distance in [1, 30] m,
-    geodesic/euclidean ratio at least ratio_min (rejects near-straight
-    paths), and a start that the footprint can occupy as write_dataset stores
-    it, rounded to 6 significant digits (`start_blocked` when its clearance
-    is below the footprint radius, so an accepted start loads into NavEnv).
-    dist_field is the goal's field over the grid inflated by the largest
-    robot's footprint, so a finite start value already means a descent path
-    on which that footprint stays clear; a field for another radius is a
-    ValueError.
+    Rules, in the order they are checked: a start inside one of the grid's
+    cells (`off_grid`; the far edges belong to no cell), a reachable start,
+    geodesic distance in [1, 30] m, geodesic/euclidean ratio at least
+    ratio_min (rejects near-straight paths), and a start that the footprint
+    can occupy as write_dataset stores it, rounded to 6 significant digits
+    (`start_blocked` when its clearance is below the footprint radius, so an
+    accepted start loads into NavEnv). dist_field is the goal's field over
+    the grid inflated by the largest robot's footprint, so a finite start
+    value already means a descent path on which that footprint stays clear;
+    a field for another radius or another goal is a ValueError.
     """
     radius = largest_spec.footprint_radius
     if dist_field.robot_radius != float(radius):
         raise ValueError(f"dist_field built for radius {dist_field.robot_radius}, "
                          f"not the footprint radius {radius}")
+    gx, gy = float(goal[0]), float(goal[1])
+    if dist_field.goal != (gx, gy):
+        raise ValueError(f"dist_field built for goal {dist_field.goal}, not {(gx, gy)}")
     sx, sy = start.x, start.y
+    cs = grid.cell_size
+    # world_to_cell floors these quotients, so this is its cell range; NaN fails it too
+    if not (0 <= sx / cs < grid.width and 0 <= sy / cs < grid.height):
+        return False, "off_grid"
     six, siy = grid.world_to_cell(sx, sy)
     d_geo = dist_field.values[siy, six]
     if not math.isfinite(d_geo):
@@ -61,7 +69,7 @@ def validate_episode(grid, start, goal, largest_spec, ratio_min=DEFAULT_RATIO_MI
         return False, "too_short"
     if d_geo > MAX_GEODESIC:
         return False, "too_long"
-    d_euclid = math.hypot(goal[0] - sx, goal[1] - sy)
+    d_euclid = math.hypot(gx - sx, gy - sy)
     if d_euclid <= 0 or d_geo / d_euclid < ratio_min:
         return False, "near_straight"
     if grid.clearance(_round6(sx), _round6(sy)) < radius:

@@ -271,8 +271,11 @@ _SHARED_KEYS = ("map_sha256", "dataset_sha256", "seeds")
 class GapTable:
     """Success rates per condition label; gap(row, column) is row minus column."""
 
-    labels: list
     sr: dict
+
+    @property
+    def labels(self):
+        return sorted(self.sr)
 
     def gap(self, row_label, col_label):
         return self.sr[row_label] - self.sr[col_label]
@@ -316,7 +319,7 @@ def sim2sim_gap(results_by_label):
         if not rows:
             raise DatasetMismatchError(f"run {label!r} has no episodes")
         sr[label] = 100.0 * sum(r["success"] for r in rows) / len(rows)
-    return GapTable(labels, sr)
+    return GapTable(sr)
 
 
 # -- throughput --------------------------------------------------------------

@@ -4,7 +4,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 from .world import CERT_EPS
 
@@ -88,7 +88,8 @@ class DynamicLiteConfig:
     into `substeps` physics substeps of 1 / substeps s. On contact the position
     update either slides along the free axis-aligned component or holds. A fall
     fires when the prevented penetration in one substep exceeds
-    fall_penetration.
+    fall_penetration, a fixed 0.05 m for every config (a class constant, not a
+    field).
 
     Every substep starts from a free pose and clearance is 1-Lipschitz, so the
     penetration of a substep is at most its displacement. The lagged velocity
@@ -105,7 +106,7 @@ class DynamicLiteConfig:
     tau: float
     substeps: int = 240
     slide_on_contact: bool = True
-    fall_penetration: float = 0.05
+    fall_penetration: ClassVar[float] = 0.05
 
     def __post_init__(self):
         if not self.tau > 0:
@@ -114,8 +115,6 @@ class DynamicLiteConfig:
             raise ValueError("substeps must be an int")
         if self.substeps < 1:
             raise ValueError("substeps must be at least 1")
-        if not (self.fall_penetration > 0 and math.isfinite(self.fall_penetration)):
-            raise ValueError("fall_penetration must be positive and finite")
 
 
 # Two controller personalities, mirroring a tight tracker used for training

@@ -40,18 +40,18 @@ class Episode:
     geodesic_distance: float
 
 
-@dataclass(frozen=True)
 class RewardConfig:
-    """Reward-term constants; geodesic progress always enters with weight 1."""
+    """The reward's fixed penalty terms, as class constants that reward() reads.
 
-    coll: float = -0.03
-    fall: float = -5.0
-    success: float = 10.0
-    slack: float = -0.002
-    backward: float = -0.03
+    Geodesic progress always enters with weight 1. Nothing sets the terms:
+    RewardConfig() takes no arguments.
+    """
 
-
-_REWARD = RewardConfig()
+    coll = -0.03
+    fall = -5.0
+    success = 10.0
+    slack = -0.002
+    backward = -0.03
 
 
 @dataclass(frozen=True)
@@ -120,16 +120,16 @@ def observe(grid, pose, goal, cfg):
 
 
 def reward(prev_dgeo, new_dgeo, blocked, cmd, terminal):
-    """Shaped navigation reward: geodesic progress plus the RewardConfig() penalty terms."""
-    r = (prev_dgeo - new_dgeo) + _REWARD.slack
+    """Shaped navigation reward: geodesic progress plus the RewardConfig penalty terms."""
+    r = (prev_dgeo - new_dgeo) + RewardConfig.slack
     if blocked:
-        r += _REWARD.coll
+        r += RewardConfig.coll
     if terminal == "fall":
-        r += _REWARD.fall
+        r += RewardConfig.fall
     elif terminal == "success":
-        r += _REWARD.success
+        r += RewardConfig.success
     if cmd.vx < 0:
-        r += _REWARD.backward
+        r += RewardConfig.backward
     return r
 
 
@@ -161,7 +161,7 @@ class NavEnv:
 
     Owned by a single execution context at a time; stepping is synchronous.
     The agent issues a VelocityCommand (or AgentAction with a stop flag) once
-    per 1 s control period, and the reward uses the default RewardConfig().
+    per 1 s control period, and the reward uses the fixed RewardConfig terms.
     step() returns an info dict with the keys "blocked", "dgeo", "r_geo" and
     "reason".
 

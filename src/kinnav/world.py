@@ -459,9 +459,11 @@ class DistanceField:
 
     flat_values is a read-only row-major memoryview of values, so
     flat_values[iy * width + ix] reads values[iy, ix] as a Python float
-    without a copy; the per-step queries read through it. A point whose
-    whole 3x3 neighborhood is +inf falls back on the nearest finite cell
-    center, found by an argmin over those centers.
+    without a copy; the per-step queries read through it. One 3x3 scan,
+    lower_envelope, holds the off-lattice rule: value_at returns its value
+    and OracleAgent heads for its cell. A point whose whole 3x3 neighborhood
+    is +inf falls back on the nearest finite cell center, found by an argmin
+    over those centers.
     """
 
     def __init__(self, grid, goal, robot_radius, values):
@@ -475,22 +477,24 @@ class DistanceField:
         self._finite = None
         self._next = {}
 
-    def value_at(self, x, y):
-        """Continuous geodesic distance at a world point.
+    def lower_envelope(self, x, y):
+        """(value + distance to center, cell) minimized over the finite cells
+        of the 3x3 block around (x, y); (inf, None) when none is finite.
 
-        Takes the lower envelope of value + straight-line distance over the
-        3x3 cell neighborhood; falls back to the nearest finite cell when the
-        whole neighborhood is unreachable.
+        Cells are scanned in increasing (ny, nx) order and only a strictly
+        lower sum replaces the best, so ties go to the lowest (ny, nx).
         """
         grid = self.grid
         cs = grid.cell_size
         w, h = grid.width, grid.height
-        # the expressions of grid.world_to_cell and grid.cell_center, inline
-        ix = int(math.floor(x / cs))
-        iy = int(math.floor(y / cs))
+        # the expressions of grid.world_to_cell and grid.cell_center, inline;
+        # math.floor already returns an int
+        ix = math.floor(x / cs)
+        iy = math.floor(y / cs)
         vals = self.flat_values
         hypot = math.hypot
-        best = math.inf
+        inf = best = math.inf
+        cell = None
         for ny in (iy - 1, iy, iy + 1):
             if ny < 0 or ny >= h:
                 continue
@@ -500,10 +504,21 @@ class DistanceField:
                 if nx < 0 or nx >= w:
                     continue
                 v = vals[row + nx]
-                if v < math.inf:
+                if v < inf:
                     d = v + hypot(x - (nx + 0.5) * cs, dy)
                     if d < best:
                         best = d
+                        cell = (nx, ny)
+        return best, cell
+
+    def value_at(self, x, y):
+        """Continuous geodesic distance at a world point.
+
+        The lower envelope of value + straight-line distance over the 3x3
+        cell neighborhood (lower_envelope); falls back to the nearest finite
+        cell when the whole neighborhood is unreachable.
+        """
+        best, _ = self.lower_envelope(x, y)
         if best < math.inf:
             return best
         return self._fallback_value(x, y)

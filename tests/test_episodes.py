@@ -57,6 +57,26 @@ def test_validate_rejects_field_of_another_radius():
         validate_episode(grid, Pose(2.5, 8.5, 0.0), goal, SPOT, dist_field=field)
 
 
+@pytest.mark.parametrize("start", [(-5.0, -5.0), (100.0, 3.0), (8.0, 3.0),
+                                   (math.nan, 3.0), (3.0, -math.inf)])
+def test_validate_rejects_start_off_the_grid(start):
+    # (8.0, 3.0) lies on the far edge: in_bounds accepts it, but no cell holds it
+    grid = random_maze(16, 16, 0.5, seed=1)
+    passable = grid.passable_mask(SPOT.footprint_radius)
+    iys, ixs = np.nonzero(passable)
+    goal = grid.cell_center(int(ixs[0]), int(iys[0]))
+    field = distance_field(grid, goal, SPOT.footprint_radius)
+    ok, reason = validate_episode(grid, Pose(*start, 0.0), goal, SPOT, dist_field=field)
+    assert (ok, reason) == (False, "off_grid")
+
+
+def test_validate_rejects_field_of_another_goal():
+    grid = load_world(open_doc(12))
+    field = distance_field(grid, (8.5, 2.5), SPOT.footprint_radius)
+    with pytest.raises(ValueError, match="goal"):
+        validate_episode(grid, Pose(2.5, 8.5, 0.0), (2.5, 2.5), SPOT, dist_field=field)
+
+
 def test_accept_detour_with_oracle_distance():
     # wall with a single gap forces a detour: geodesic well above euclidean
     rows = []

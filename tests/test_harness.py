@@ -409,6 +409,12 @@ def test_gap_zero_for_identical_runs(small_setup):
     assert "success rates" in table.to_text()
 
 
+def test_gap_labels_are_the_sorted_keys():
+    table = GapTable({"b": 50.0, "a": 40.0})
+    assert table.labels == ["a", "b"]
+    assert table.gap("b", "a") == 10.0
+
+
 def test_gap_refuses_mismatched_dataset(small_setup, tmp_path):
     root, grid, map_path, ds_path = small_setup
     cfg = EvalConfig(map_path, ds_path, seeds=(0,))

@@ -11,8 +11,9 @@ from kinnav.motion import PROFILES, Pose, VelocityCommand
 from kinnav.noise import reference_model
 from kinnav.robots import SPOT
 from kinnav.task import (PROXIMITY_MARGIN, Episode, EpisodeFinishedError,
-                         InvalidEpisodeError, NavEnv, SensorConfig, compute_spl,
-                         depth_fan, observe, read_trajectory, reward, write_trajectory)
+                         InvalidEpisodeError, NavEnv, RewardConfig, SensorConfig,
+                         compute_spl, depth_fan, observe, read_trajectory, reward,
+                         write_trajectory)
 from kinnav.world import OccupancyGrid, distance_field, load_world
 
 from oracles import raycast_reference
@@ -157,6 +158,11 @@ def test_reward_success_spot_value():
 def test_reward_fall():
     r = reward(2.0, 2.0, True, VelocityCommand(0.2, 0, 0), "fall")
     assert r == pytest.approx(-0.03 - 5.0 - 0.002, abs=1e-12)
+
+
+def test_reward_terms_are_fixed():
+    with pytest.raises(TypeError):
+        RewardConfig(coll=-1.0)
 
 
 # -- SPL -------------------------------------------------------------------
