@@ -84,12 +84,12 @@ def kinematic_step(grid, pose, cmd, spec):
 class DynamicLiteConfig:
     """First-order velocity-lag surrogate for a physics-stepped backend.
 
-    tau is the velocity tracking time constant; each 1 s control step is split
-    into `substeps` physics substeps of 1 / substeps s. On contact the position
-    update either slides along the free axis-aligned component or holds. A fall
-    fires when the prevented penetration in one substep exceeds
-    fall_penetration, a fixed 0.05 m for every config (a class constant, not a
-    field).
+    tau is the velocity tracking time constant, positive and finite; each
+    1 s control step is split into `substeps` physics substeps of
+    1 / substeps s. On contact the position update either slides along the
+    free axis-aligned component or holds. A fall fires when the prevented
+    penetration in one substep exceeds fall_penetration, a fixed 0.05 m for
+    every config (a class constant, not a field).
 
     Every substep starts from a free pose and clearance is 1-Lipschitz, so the
     penetration of a substep is at most its displacement. The lagged velocity
@@ -109,8 +109,9 @@ class DynamicLiteConfig:
     fall_penetration: ClassVar[float] = 0.05
 
     def __post_init__(self):
-        if not self.tau > 0:
-            raise ValueError("tau must be positive")
+        # an infinite tau gives alpha = 0: the robot would never move
+        if not (self.tau > 0 and math.isfinite(self.tau)):
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
         if not isinstance(self.substeps, int) or isinstance(self.substeps, bool):
             raise ValueError("substeps must be an int")
         if self.substeps < 1:
@@ -123,6 +124,9 @@ PROFILES = {
     "profile-A": DynamicLiteConfig(tau=0.30, slide_on_contact=True),
     "profile-B": DynamicLiteConfig(tau=0.60, slide_on_contact=False),
 }
+
+# the empty free box: NaN bounds contain no point
+_NO_BOX = (math.nan, math.nan, math.nan, math.nan)
 
 # relative and absolute padding of the hold-horizon bounds, far above their rounding
 _PAD_REL = 1.0 + 1e-6
@@ -142,10 +146,13 @@ def dynamic_lite_step(grid, pose, actual_vel, cmd, config, spec):
     ('contact', substep) and ('fall', substep) tuples. A fall ends the step.
 
     Collision answers equal checker.blocked(), that is clearance < radius, at
-    every tested point, but most come from two certified discs (see
-    _CollisionChecker): points within sqrt(f2) of (fx, fy) are free, points
-    within sqrt(b2) of (bx, by) blocked. A query runs only when a point falls
-    outside both.
+    every tested point, but most come from two certificates (see
+    _CollisionChecker): points strictly inside the free box
+    (x0, y0, x1, y1) are free, points within sqrt(b2) of (bx, by) blocked.
+    A point outside both pays one scan of its cell list, which builds the
+    next box or, where free_box() refuses, leaves the distance that
+    certify() reads. Near a wall the box keeps the whole cell short of it,
+    so a robot moving along the wall stays inside one box per cell.
 
     Hold horizon: a profile that does not slide stays at (x, y) in contact, and
     substep j tests the candidate (x, y) + d_j with d_j = R(theta_j) v_j delta.
@@ -172,11 +179,14 @@ def dynamic_lite_step(grid, pose, actual_vel, cmd, config, spec):
     """
     checker = grid.collision_checker(spec.footprint_radius)
     certify = checker.certify
+    free_box = checker.free_box
     x, y, th = pose.x, pose.y, pose.theta
-    hit, f2 = certify(x, y)
-    if hit:
-        raise InconsistentStateError(f"pose {pose} starts in collision")
-    fx, fy = x, y
+    box = free_box(x, y)
+    if box is None:
+        if checker.blocked(x, y):
+            raise InconsistentStateError(f"pose {pose} starts in collision")
+        box = _NO_BOX
+    x0, y0, x1, y1 = box
     bx = by = b2 = 0.0
     n = config.substeps
     delta = 1.0 / n
@@ -203,18 +213,20 @@ def dynamic_lite_step(grid, pose, actual_vel, cmd, config, spec):
         th += w * delta
         nx = x + (vx * c - vy * s) * delta
         ny = y + (vx * s + vy * c) * delta
-        ex = nx - fx
-        ey = ny - fy
-        if ex * ex + ey * ey < f2:
+        if x0 < nx < x1 and y0 < ny < y1:
             x, y = nx, ny
             continue
         ex = nx - bx
         ey = ny - by
         e2 = ex * ex + ey * ey
         if e2 >= b2:
+            box = free_box(nx, ny)
+            if box is not None:
+                x0, y0, x1, y1 = box
+                x, y = nx, ny
+                continue
             hit, reach2 = certify(nx, ny)
             if not hit:
-                fx, fy, f2 = nx, ny, reach2
                 x, y = nx, ny
                 continue
             bx, by, b2 = nx, ny, reach2
@@ -243,9 +255,7 @@ def dynamic_lite_step(grid, pose, actual_vel, cmd, config, spec):
         deep = math.hypot(nx - x, ny - y) > gate
         if slide:
             for px, py in ((nx, y), (x, ny)):
-                ex = px - fx
-                ey = py - fy
-                if ex * ex + ey * ey < f2:
+                if x0 < px < x1 and y0 < py < y1:
                     hit = False
                 else:
                     ex = px - bx
@@ -253,11 +263,14 @@ def dynamic_lite_step(grid, pose, actual_vel, cmd, config, spec):
                     if ex * ex + ey * ey < b2:
                         hit = True
                     else:
-                        hit, reach2 = certify(px, py)
-                        if hit:
-                            bx, by, b2 = px, py, reach2
+                        box = free_box(px, py)
+                        if box is not None:
+                            x0, y0, x1, y1 = box
+                            hit = False
                         else:
-                            fx, fy, f2 = px, py, reach2
+                            hit, reach2 = certify(px, py)
+                            if hit:
+                                bx, by, b2 = px, py, reach2
                 if not hit:
                     x, y = px, py
                     break

@@ -240,21 +240,51 @@ class _CollisionChecker:
     the full path. The memo is one tuple, stored in one step, so a checker
     shared between threads never pairs one point with another's distance.
 
-    certify() gives blocked()'s answer together with a disc around the query
-    point on which blocked() gives that same answer. The clearance is
-    1-Lipschitz, so with d = nearest(p):
+    Two certificates let a caller answer many points without a query, one
+    for each answer. certify() gives blocked()'s answer and, for a blocked
+    point, a disc on which blocked() stays True: the clearance is
+    1-Lipschitz, so with d = nearest(p) <= radius - CERT_EPS every point
+    closer to p than radius - d - CERT_EPS is blocked. A free point gets an
+    empty disc; free space is certified by boxes.
 
-    - if d >= radius + CERT_EPS, every point closer to p than
-      min(d, radius + cap) - radius - CERT_EPS is free;
-    - if d <= radius - CERT_EPS, every point closer to p than
-      radius - d - CERT_EPS is blocked;
-    - otherwise the disc is empty and the answer is d < radius.
+    free_box() gives an open axis-aligned box around a free point on which
+    blocked() is False, reading the point's cell list once. With
+    r = radius + CERT_EPS, it first measures the list as nearest() does,
+    with r as the starting bound. A rectangle closer than r refuses the
+    box; the grid edge is farther (a point within r of it is refused before
+    the list is read), so the distance found is nearest()'s answer, and it
+    goes into nearest()'s memo: the caller's next nearest() costs no second
+    scan. Otherwise the box starts as the point's cell pulled in from the
+    grid edge by r, and every rectangle whose r-neighbourhood may meet it
+    cuts it:
+
+    - if the point's gap to the rectangle along an axis exceeds r, the box
+      side facing the rectangle moves to r from it along that axis (with
+      two such axes, the cut that keeps more of the box);
+    - otherwise the point lies beside a corner of the rectangle, at least r
+      from it, and both facing sides move to the point of the circle of
+      radius r about that corner on the ray to the query point.
+
+    Every point of the box is then at least r from the grid edge and from
+    every rectangle of the list. The box lies in the cell, whose list holds
+    every rectangle within radius + cap of any point of the cell, so no
+    other rectangle comes that close. A point on its cell's boundary fits in
+    no such box and is refused too, as is, rarely, a point within rounding
+    of distance r, where the cuts leave the box empty at float precision.
+    A wall thus only removes the half-plane beyond it, where a disc about
+    the point would shrink to the gap to the wall.
+
+    free_box() remembers the last box it built, as one tuple like
+    nearest()'s memo, and returns it for any point strictly inside it. A box
+    is free wherever it lies, so the memo cannot go stale, and a NaN lies
+    inside no box. A dynamic-lite step starts where the previous one
+    stopped, which is usually inside the last box.
 
     CERT_EPS = 1e-9 m is orders of magnitude above the rounding error of the
     distance arithmetic (about 1e-16 relative, under 1e-12 m on maps up to
-    kilometres across). A caller that answers a point strictly inside a
-    certified disc without a query therefore gets exactly the answer
-    blocked() would have given.
+    kilometres across), and of the box's cuts. A caller that answers a point
+    strictly inside a certified disc or box without a query therefore gets
+    exactly the answer blocked() would have given.
     """
 
     def __init__(self, grid, radius):
@@ -273,6 +303,8 @@ class _CollisionChecker:
         self._blocked_to = radius - CERT_EPS
         # nearest()'s memo (x, y, distance), empty until the first scan: NaN matches no query
         self._last = (math.nan, math.nan, math.nan)
+        # free_box()'s memo (x0, y0, x1, y1), empty until the first box: NaN contains no point
+        self._box = (math.nan, math.nan, math.nan, math.nan)
         # rects within radius + cap of a point, via their centers, from anywhere in the cell
         self._lists = self._cell_lists(radius + self.cap + SQRT2 * cs)
 
@@ -343,9 +375,16 @@ class _CollisionChecker:
             ix = self._w - 1
         if iy >= self._h:
             iy = self._h - 1
-        for rx0, ry0 in self._lists[iy * self._w + ix]:
-            # grid.clearance()'s expression; hypot(dx, dy) >= max(dx, dy), so a
-            # rect with dx or dy at least best cannot lower it
+        best = self._scan(self._lists[iy * self._w + ix], x, y, best)
+        self._last = (x, y, best)
+        return best
+
+    def _scan(self, rects, x, y, best):
+        """min(best, distance from (x, y) to each of rects), in grid.clearance()'s arithmetic."""
+        cs = self._cs
+        for rx0, ry0 in rects:
+            # hypot(dx, dy) >= max(dx, dy), so a rect with dx or dy at least
+            # best cannot lower it
             dx = rx0 - x if x < rx0 else (x - rx0 - cs if x > rx0 + cs else 0.0)
             if dx >= best:
                 continue
@@ -355,7 +394,6 @@ class _CollisionChecker:
             d = math.hypot(dx, dy)
             if d < best:
                 best = d
-        self._last = (x, y, best)
         return best
 
     def penetration(self, x, y):
@@ -378,17 +416,101 @@ class _CollisionChecker:
         return d - self.radius < margin
 
     def certify(self, x, y):
-        """(blocked(x, y), r2): blocked() gives the same answer within sqrt(r2) of (x, y)."""
+        """(blocked(x, y), r2): blocked() stays True within sqrt(r2) of a blocked point.
+
+        r2 is 0.0 for a free point: free space is certified by free_box().
+        """
         d = self.nearest(x, y)
-        if d >= self._free_from:
-            if d > self._exact_to:
-                d = self._exact_to
-            reach = d - self._free_from
-            return False, reach * reach
         if d <= self._blocked_to:
             reach = self._blocked_to - d
             return True, reach * reach
         return d < self.radius, 0.0
+
+    def free_box(self, x, y):
+        """An open box (x0, y0, x1, y1) around (x, y) on which blocked() is False, or None.
+
+        None means a rect or the grid edge lies within radius + CERT_EPS of
+        the point, or the point is on its cell's boundary, or rarely that
+        rounding would leave the box empty (see the class docstring). The
+        caller then asks nearest(); after a rect refused the box, its memo
+        holds the answer.
+        """
+        box = self._box
+        if box[0] < x < box[2] and box[1] < y < box[3]:
+            return box
+        r = self._free_from
+        if not (r < x < self._x1 - r and r < y < self._y1 - r):
+            return None
+        cs = self._cs
+        ix = int(x / cs)
+        iy = int(y / cs)
+        if ix >= self._w:
+            ix = self._w - 1
+        if iy >= self._h:
+            iy = self._h - 1
+        rects = self._lists[iy * self._w + ix]
+        # a rect closer than r refuses; the edge is farther, so the distance
+        # found is nearest()'s answer
+        d = self._scan(rects, x, y, r)
+        if d < r:
+            self._last = (x, y, d)
+            return None
+        # the point's cell, pulled in from the grid edge
+        x0 = max(ix * cs, r)
+        x1 = min((ix + 1) * cs, self._x1 - r)
+        y0 = max(iy * cs, r)
+        y1 = min((iy + 1) * cs, self._y1 - r)
+        for rx0, ry0 in rects:
+            # the square [ax, bx] x [ay, by] bounds the rect's r-neighbourhood
+            ax = rx0 - r
+            if ax >= x1:
+                continue
+            bx = rx0 + cs + r
+            if bx <= x0:
+                continue
+            ay = ry0 - r
+            if ay >= y1:
+                continue
+            by = ry0 + cs + r
+            if by <= y0:
+                continue
+            cut_x = x < ax or x > bx
+            if y < ay or y > by:
+                # a side of the box can move to the square's side along either
+                # axis: move the one that keeps more of the box
+                if cut_x:
+                    cut_x = ((x1 - ax if x < ax else bx - x0) * (y1 - y0)
+                             <= (y1 - ay if y < ay else by - y0) * (x1 - x0))
+                if not cut_x:
+                    if y < ay:
+                        y1 = ay
+                    else:
+                        y0 = by
+                    continue
+            elif not cut_x:
+                # inside the square, so beside a corner of the rect, at least
+                # r from it: the box's corner toward it moves onto the circle
+                # of radius r about it, on the ray to (x, y)
+                dx = rx0 - x if x < rx0 else (x - rx0 - cs if x > rx0 + cs else 0.0)
+                dy = ry0 - y if y < ry0 else (y - ry0 - cs if y > ry0 + cs else 0.0)
+                s = r / math.hypot(dx, dy)
+                if x < rx0:
+                    x1 = min(x1, rx0 - dx * s)
+                else:
+                    x0 = max(x0, rx0 + cs + dx * s)
+                if y < ry0:
+                    y1 = min(y1, ry0 - dy * s)
+                else:
+                    y0 = max(y0, ry0 + cs + dy * s)
+                continue
+            if x < ax:
+                x1 = ax
+            else:
+                x0 = bx
+        if x0 < x < x1 and y0 < y < y1:
+            box = self._box = (x0, y0, x1, y1)
+            return box
+        return None
 
 
 # -- map document I/O -----------------------------------------------------

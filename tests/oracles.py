@@ -4,23 +4,25 @@ Everything here is deliberately slow and written with plain scalar loops so
 that it shares no code path with the package under test. The exceptions are
 earlier versions of package code, kept verbatim so that faster replacements
 can be checked against them for exact equality: dynlite_reference_step runs on
-the package's exact collision tests, so it checks both the certified discs and
-the hold horizon, which skips the tests of contacts certified in advance
-(tests/test_motion.py compares them on hugging starts at walls, corners and
-the grid edge, for Spot, AlienGo and A1 at 24, 60 and 240 substeps, with
-reversed velocities and turns at the angular limit), descent_path_reference and
-oracle_target_reference on DistanceField.descent_neighbor, and
-cell_lists_reference builds a collision checker's per-cell lists. The
-numpy-indexing versions of the distance-field reads (value_at_reference,
-descent_neighbor_reference, oracle_target_numpy_reference) and the one-way
-move graph searched undirected (distance_values_reference) check the
-memoryview reads and the symmetric graph. KDGridReference and
-KDFieldReference answer clearance, center_clearance and the distance field's
-far-from-reach fallback from KD-trees, as the package did before it answered
-them from the cell lattice alone. raycast_reference is the ray caster as it
-walked cell indices with a bounds test per cell, before it walked a flat index
-over the grid's padded byte table. save_world_reference is save_world as it
-built each row one cell at a time and always wrote 6 significant digits.
+the package's exact collision tests, so it checks the free boxes, the blocked
+discs and the hold horizon, which skips the tests of contacts certified in
+advance (tests/test_motion.py compares them on hugging starts at walls,
+corners and the grid edge, for Spot, AlienGo and A1 at 24, 60 and 240
+substeps, with reversed velocities and turns at the angular limit),
+descent_path_reference and oracle_target_reference on
+DistanceField.descent_neighbor, and cell_lists_reference builds a collision
+checker's per-cell lists. The numpy-indexing versions of the distance-field
+reads (value_at_reference, descent_neighbor_reference,
+oracle_target_numpy_reference) and the one-way move graph searched undirected
+(distance_values_reference) check the memoryview reads and the symmetric
+graph. KDGridReference and KDFieldReference answer clearance, center_clearance
+and the distance field's far-from-reach fallback from KD-trees, as the package
+did before it answered them from the cell lattice alone. raycast_reference is
+the ray caster as it walked cell indices with a bounds test per cell, before
+it walked a flat index over the grid's padded byte table. save_world_reference
+is save_world as it built each row one cell at a time and always wrote 6
+significant digits. CountingLists counts the cell lists a collision checker
+reads.
 """
 
 import heapq
@@ -176,6 +178,16 @@ def dynlite_scalar_oracle(x0, v0, cmd, tau, substeps, dt=1.0):
         v += alpha * (cmd - v)
         x += v * delta
     return x, v
+
+
+class CountingLists(list):
+    """A collision checker's per-cell list table that counts the lists read from it."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return list.__getitem__(self, i)
 
 
 def dynlite_reference_step(grid, pose, actual_vel, cmd, config, spec, dt=1.0):

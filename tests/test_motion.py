@@ -16,7 +16,7 @@ from kinnav.maps import random_maze
 from kinnav.robots import A1, ALIENGO, SPOT
 from kinnav.world import CERT_EPS, OccupancyGrid, load_world
 
-from oracles import dynlite_reference_step, dynlite_scalar_oracle
+from oracles import CountingLists, dynlite_reference_step, dynlite_scalar_oracle
 
 
 def open_grid(n=60, cs=1.0):
@@ -190,6 +190,15 @@ def test_config_invariants():
             DynamicLiteConfig(tau=0.3, substeps=substeps)
     cfg = DynamicLiteConfig(tau=0.3, substeps=1)
     assert cfg.substeps == 1
+
+
+@pytest.mark.parametrize("tau", [math.inf, -math.inf, math.nan])
+def test_config_rejects_a_non_finite_tau(tau):
+    # tau = inf gives alpha = 0, so the robot would never follow a command
+    with pytest.raises(ValueError, match="tau"):
+        DynamicLiteConfig(tau=tau)
+    with pytest.raises(ValueError, match="tau"):
+        replace(PROFILES["profile-A"], tau=tau)
 
 
 def test_fall_threshold_is_fixed():
@@ -386,11 +395,37 @@ def test_dynlite_matches_exact_reference(dynlite_runs):
             if cfg.slide_on_contact and ref[2] and ref[0] != dynlite_reference_step(
                 grid, pose, vel, cmd, replace(cfg, slide_on_contact=False), spec)[0]]
     assert len(slid) >= 10
-    # starts whose clearance is within CERT_EPS of the radius get an empty certified disc
+    # starts whose clearance is within CERT_EPS of the radius get no free box
     edge = [pose for grid, spec, _, pose, *_ in dynlite_runs
             if abs(grid.collision_checker(spec.footprint_radius).nearest(pose.x, pose.y)
                    - spec.footprint_radius) < CERT_EPS]
     assert len(edge) >= 50
+
+
+def test_wall_parallel_steps_read_one_cell_list():
+    # 1 mm clear of a wall and moving along it, every substep stays in the
+    # free box built at the start (the cell, cut at the wall): a profile-B
+    # step and a profile-A step read the cell lists at most three times,
+    # where a free disc as wide as the gap needs a query almost every substep
+    grid = wall_grid()
+    checker = grid.collision_checker(SPOT.footprint_radius)
+    touch = hug(checker, grid, 3.0, 5.1, 0.0)
+    pose = Pose(touch.x - 0.001, touch.y, math.pi / 2)
+    assert 0.0009 < checker.nearest(pose.x, pose.y) - SPOT.footprint_radius < 0.0011
+    vel = VelocityCommand(0.0, 0.0, 0.0)
+    cmd = VelocityCommand(SPOT.lin_limit, 0.0, 0.0)
+    checker._lists = lists = CountingLists(checker._lists)
+    reads = 0
+    for cfg in (PROFILES["profile-B"], PROFILES["profile-A"]):
+        before = lists.reads
+        out = dynamic_lite_step(grid, pose, vel, cmd, cfg, SPOT)
+        reads += lists.reads - before
+        assert out == dynlite_reference_step(grid, pose, vel, cmd, cfg, SPOT)
+        new, vel, events = out
+        assert events == [] and new.y > pose.y + 0.2
+        assert grid.world_to_cell(new.x, new.y) == grid.world_to_cell(pose.x, pose.y)
+        pose = new
+    assert reads <= 3
 
 
 def test_dynlite_event_order(dynlite_runs):

@@ -16,7 +16,7 @@ from kinnav.task import (PROXIMITY_MARGIN, Episode, EpisodeFinishedError,
                          write_trajectory)
 from kinnav.world import OccupancyGrid, distance_field, load_world
 
-from oracles import raycast_reference
+from oracles import CountingLists, raycast_reference
 
 
 def open_grid(n=40, cs=1.0):
@@ -355,16 +355,6 @@ def test_proximity_count_matches_logged_clearance(cell_size):
         res = env.result()
         assert res.num_collisions == sum(
             rec["clearance"] - SPOT.footprint_radius < PROXIMITY_MARGIN for rec in res.trajectory)
-
-
-class CountingLists(list):
-    """A collision checker's per-cell list table that counts the lists read from it."""
-
-    reads = 0
-
-    def __getitem__(self, i):
-        self.reads += 1
-        return list.__getitem__(self, i)
 
 
 def test_kinematic_step_scans_one_cell_list():

@@ -613,6 +613,118 @@ def test_memo_answers_as_a_fresh_checker():
     assert checkers[0].blocked(*b) != checkers[1].blocked(*b)
 
 
+def box_points(grid, rng, r, n):
+    """grid_points plus points about r from each grid edge and corner, on both sides."""
+    _, _, x1, y1 = grid.extent
+    pts = grid_points(grid, rng, n)
+    for off in (-1e-6, 1e-9, 1e-6, 0.01):
+        for u in rng.uniform(0.0, 1.0, 3).tolist():
+            pts += [(r + off, u * y1), (x1 - r - off, u * y1),
+                    (u * x1, r + off), (u * x1, y1 - r - off)]
+        pts += [(r + off, r + off), (x1 - r - off, r + off), (r + off, y1 - r - off),
+                (x1 - r - off, y1 - r - off)]
+    return pts
+
+
+def points_inside(box, x, y, rng):
+    """Random points of the open box, plus points 1 ulp inside each side and corner."""
+    x0, y0, x1, y1 = box
+    ix0, ix1 = math.nextafter(x0, x1), math.nextafter(x1, x0)
+    iy0, iy1 = math.nextafter(y0, y1), math.nextafter(y1, y0)
+    pts = rng.uniform((x0, y0), (x1, y1), (6, 2)).tolist()
+    pts += [(ix0, y), (ix1, y), (x, iy0), (x, iy1), (ix0, iy0), (ix0, iy1), (ix1, iy0), (ix1, iy1)]
+    return [(qx, qy) for qx, qy in pts if x0 < qx < x1 and y0 < qy < y1]
+
+
+def strictly_in_cell(grid, x, y):
+    """(x, y) lies strictly inside the cell nearest() reads for it, so a box in it can hold it."""
+    cs = grid.cell_size
+    ix = min(int(x / cs), grid.width - 1)
+    iy = min(int(y / cs), grid.height - 1)
+    return ix * cs < x < (ix + 1) * cs and iy * cs < y < (iy + 1) * cs
+
+
+@pytest.mark.parametrize("scale", [0.4, 1.3])
+def test_free_box_is_free_and_refused_only_near_contact(scale):
+    # radii below the half cell and above the cell size
+    rng = np.random.default_rng(int(scale * 10))
+    boxes = refused = 0
+    for k, grid in enumerate(geometry_grids()):
+        cs = grid.cell_size
+        radius = scale * cs
+        checker = grid.collision_checker(radius)
+        r = radius + CERT_EPS
+        pts = box_points(grid, rng, r, 1000)
+        # points within ulps of nearest() == r, where the box is thinnest
+        near = [p for p in pts if checker.nearest(*p) < r]
+        far = [p for p in pts if checker.nearest(*p) >= r]
+        for a, b in zip(near[:40], far[:40]):
+            pts += boundary_points(lambda x, y: checker.nearest(x, y) < r, a, b)
+        for x, y in pts:
+            # forget the last box: every box below is built for its own point
+            checker._box = (math.nan,) * 4
+            box = checker.free_box(x, y)
+            if box is None:
+                refused += 1
+                # nearest() answers from the memo a refusing rect left
+                d = checker.nearest(x, y)
+                if d < r:
+                    assert d == grid.clearance(x, y), (k, x, y)
+                else:
+                    assert not strictly_in_cell(grid, x, y) or d - r < 1e-12, (k, x, y)
+                continue
+            boxes += 1
+            x0, y0, x1, y1 = box
+            assert x0 < x < x1 and y0 < y < y1, (k, x, y, box)
+            ix = min(int(x / cs), grid.width - 1)
+            iy = min(int(y / cs), grid.height - 1)
+            assert ix * cs <= x0 and x1 <= (ix + 1) * cs, (k, x, y, box)
+            assert iy * cs <= y0 and y1 <= (iy + 1) * cs, (k, x, y, box)
+            assert checker.nearest(x, y) >= r
+            for qx, qy in points_inside(box, x, y, rng):
+                assert not checker.blocked(qx, qy), (k, x, y, box, qx, qy)
+    assert boxes >= 2000 and refused >= 1000
+
+
+def test_free_box_memo_serves_only_points_inside():
+    grid = random_maze(17, 17, 0.25, seed=3)
+    rng = np.random.default_rng(5)
+    small, large = grid.collision_checker(0.2), grid.collision_checker(0.3)
+    _, _, x1, y1 = grid.extent
+    pts = rng.uniform(0.0, x1, (600, 2)).tolist()
+    served = 0
+    nan = math.nan
+    for x, y in pts:
+        for checker in (small, large, small):
+            last = checker._box
+            box = checker.free_box(x, y)
+            if box is None:
+                assert checker.nearest(x, y) < checker.radius + CERT_EPS
+                continue
+            served += box is last
+            x0, y0, x1, y1 = box
+            assert x0 < x < x1 and y0 < y < y1
+            for qx, qy in points_inside(box, x, y, rng):
+                assert not checker.blocked(qx, qy), (checker.radius, box, qx, qy)
+            # a point inside the last box is served from the memo
+            qx, qy = points_inside(box, x, y, rng)[0]
+            assert checker.free_box(qx, qy) is box
+            # a side, a point 1 ulp beyond it, and NaN coordinates are not:
+            # they get a box that holds them, or none
+            for qx, qy in ((x0, y), (math.nextafter(x0, -1.0), y), (x, y1),
+                           (x, math.nextafter(y1, math.inf)), (nan, y), (x, nan)):
+                checker._box = box
+                out = checker.free_box(qx, qy)
+                assert out is None or out[0] < qx < out[2] and out[1] < qy < out[3]
+    assert served >= 100
+    # clearance between the radii: a box for the small radius, none for the large
+    free = [(x, y) for x, y in pts if 0.2 + 1e-3 < grid.clearance(x, y) < 0.3 - 1e-3]
+    assert free
+    for x, y in free:
+        assert small.free_box(x, y) is not None
+        assert large.free_box(x, y) is None
+
+
 def boundary_points(inside, a, b):
     """Points on segment a-b where inside() flips, bisected to adjacent floats, and neighbors."""
     def at(t):
