@@ -4,6 +4,7 @@ import functools
 import hashlib
 import io
 import os
+import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -15,19 +16,19 @@ from . import episodes as episodes_mod
 from . import noise as noise_mod
 from . import world as world_mod
 from .agents import OracleAgent, RandomAgent
-from .motion import PROFILES, Pose, VelocityCommand, dynamic_lite_step, kinematic_step
+from .motion import PROFILES, Pose, VelocityCommand
 from .robots import ROBOTS, get_robot
 from .tables import read_table, write_table
-from .task import NavEnv, SensorConfig, write_trajectory
+from .task import KINEMATIC, DynamicLiteBackend, NavEnv, SensorConfig, write_trajectory
 
 # purpose tags for RNG streams keyed by (base_seed, episode_id, purpose)
 _RNG_NOISE = 0
 _RNG_AGENT = 1
 
-# backend name -> dynamic-lite config, None for the kinematic backend
-BACKENDS = {"kinematic": None,
-            "dynlite-a": PROFILES["profile-A"],
-            "dynlite-b": PROFILES["profile-B"]}
+# backend name -> backend, an object with step(grid, pose, vel, cmd, spec) -> (pose, vel, events)
+BACKENDS = {"kinematic": KINEMATIC,
+            "dynlite-a": DynamicLiteBackend(PROFILES["profile-A"]),
+            "dynlite-b": DynamicLiteBackend(PROFILES["profile-B"])}
 # agent name -> factory (dist_field, spec, stream) -> agent; stream() opens the
 # agent's own RNG stream, keyed (seed, episode_id, _RNG_AGENT)
 AGENTS = {"oracle": lambda dist_field, spec, stream: OracleAgent(dist_field, spec),
@@ -127,7 +128,7 @@ def _run_pairs(config, contents, pairs, traj_dir=None):
                 return np.random.default_rng(
                     np.random.SeedSequence([seed, episode_id, purpose]))
 
-            env = NavEnv(grid, spec, dyn_config=BACKENDS[config.backend],
+            env = NavEnv(grid, spec, backend=BACKENDS[config.backend],
                          noise_model=noise, rng=stream(_RNG_NOISE) if noise else None,
                          sensor=SensorConfig(expose_pose=True),
                          record_trajectory=bool(traj_dir))
@@ -325,12 +326,19 @@ def sim2sim_gap(results_by_label):
 # -- throughput --------------------------------------------------------------
 
 
+# timed chunks per backend in bench_throughput
+_BENCH_CHUNKS = 3
+
+
 def bench_throughput(grid, spec, backends=BACKENDS, steps=2000, warmup=1000):
     """Control-steps per second for each backend on the same map and agent.
 
     Observational only: every backend runs the same `warmup` and then `steps`
-    timed random commands from a fixed seed, through one loop. ValueError
-    unless steps >= 1 and warmup >= 0.
+    timed random commands from a fixed seed, through one loop. The commands
+    run in chunks, the warm-up and then _BENCH_CHUNKS timed ones; every
+    backend runs a chunk, continuing from its own pose and velocity, before
+    any backend runs the next, and its rate is the median of its timed chunk
+    rates. ValueError unless steps >= 1 and warmup >= 0.
     Returns {backend: steps/sec} plus 'ratio_<b>' entries relative to kinematic.
     """
     if steps < 1 or warmup < 0:
@@ -346,23 +354,25 @@ def bench_throughput(grid, spec, backends=BACKENDS, steps=2000, warmup=1000):
         rng.uniform(-spec.lin_limit, spec.lin_limit, total),
         rng.uniform(-spec.lin_limit, spec.lin_limit, total),
         rng.uniform(-spec.ang_limit, spec.ang_limit, total)])]
-    results = {}
-    for backend in backends:
-        cfg = BACKENDS[backend]
-        if cfg is None:
-            def step(pose, vel, cmd):
-                return kinematic_step(grid, pose, cmd, spec)[0], vel
-        else:
-            def step(pose, vel, cmd):
-                return dynamic_lite_step(grid, pose, vel, cmd, cfg, spec)[:2]
-        pose = Pose(start[0], start[1], 0.0)
-        vel = VelocityCommand(0.0, 0.0, 0.0)
-        for cmd in cmds[:warmup]:
-            pose, vel = step(pose, vel, cmd)
-        t0 = time.perf_counter()
-        for cmd in cmds[warmup:]:
-            pose, vel = step(pose, vel, cmd)
-        results[backend] = steps / (time.perf_counter() - t0)
+    states = {backend: (Pose(start[0], start[1], 0.0), VelocityCommand(0.0, 0.0, 0.0))
+              for backend in backends}
+    rates = {backend: [] for backend in backends}
+    # chunk 0 is the untimed warm-up
+    bounds = [0] + [warmup + steps * k // _BENCH_CHUNKS for k in range(_BENCH_CHUNKS + 1)]
+    for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        if lo == hi:  # no warm-up, or fewer steps than chunks
+            continue
+        chunk = cmds[lo:hi]
+        for backend in backends:
+            step = BACKENDS[backend].step
+            pose, vel = states[backend]
+            t0 = time.perf_counter()
+            for cmd in chunk:
+                pose, vel, _ = step(grid, pose, vel, cmd, spec)
+            if k:
+                rates[backend].append((hi - lo) / (time.perf_counter() - t0))
+            states[backend] = pose, vel
+    results = {backend: statistics.median(r) for backend, r in rates.items()}
     if "kinematic" in results:
         for backend in backends:
             if backend != "kinematic":

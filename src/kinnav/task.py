@@ -6,8 +6,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import world as world_mod
-from .motion import (Pose, VelocityCommand, clamp_command, dynamic_lite_step,
-                     kinematic_step, wrap_angle)
+from .motion import (DynamicLiteConfig, Pose, VelocityCommand, clamp_command,
+                     dynamic_lite_step, kinematic_step, wrap_angle)
 from .noise import apply_noise
 from .tables import read_table, write_table
 
@@ -27,6 +27,33 @@ class EpisodeFinishedError(RuntimeError):
 
 class InvalidEpisodeError(ValueError):
     """Episode data violates its invariants."""
+
+
+@dataclass(frozen=True)
+class KinematicBackend:
+    """The kinematic backend: one `kinematic_step` per control step.
+
+    step(grid, pose, vel, cmd, spec) -> (pose, vel, events). The command it
+    was given is its velocity, and events is [("contact", 0)] on a blocked
+    step and [] otherwise.
+    """
+
+    def step(self, grid, pose, vel, cmd, spec):
+        new_pose, blocked = kinematic_step(grid, pose, cmd, spec)
+        return new_pose, cmd, [("contact", 0)] if blocked else []
+
+
+@dataclass(frozen=True)
+class DynamicLiteBackend:
+    """The dynamic-lite backend with one config: one `dynamic_lite_step` per control step."""
+
+    config: DynamicLiteConfig
+
+    def step(self, grid, pose, vel, cmd, spec):
+        return dynamic_lite_step(grid, pose, vel, cmd, self.config, spec)
+
+
+KINEMATIC = KinematicBackend()
 
 
 @dataclass(frozen=True)
@@ -165,21 +192,24 @@ class NavEnv:
     step() returns an info dict with the keys "blocked", "dgeo", "r_geo" and
     "reason".
 
-    dyn_config selects the backend: None steps the kinematic backend, and a
-    DynamicLiteConfig steps dynamic-lite with that config.
+    backend is any object with a step(grid, pose, vel, cmd, spec) -> (pose,
+    vel, events) method, such as KINEMATIC (the default) or a
+    DynamicLiteBackend. A step is blocked when events is not empty and falls
+    when its last event is a "fall"; the velocity it returns is the step's
+    applied velocity.
 
     With record_trajectory=True every step appends a TRAJ_TYPES record,
     including the exact clearance at the new pose, to the episode's
     trajectory; otherwise the trajectory stays empty and no step pays for it.
     """
 
-    def __init__(self, grid, spec, dyn_config=None, noise_model=None, rng=None,
+    def __init__(self, grid, spec, backend=KINEMATIC, noise_model=None, rng=None,
                  sensor=SensorConfig(), record_trajectory=False):
         if noise_model is not None and rng is None:
             raise ValueError("noise injection needs an rng")
         self.grid = grid
         self.spec = spec
-        self.dyn_config = dyn_config
+        self.backend = backend
         self.noise_model = noise_model
         self.rng = rng
         self.sensor = sensor
@@ -235,16 +265,12 @@ class NavEnv:
             applied = cmd
             if self.noise_model is not None:
                 applied = apply_noise(cmd, self.noise_model, self.rng)
-            if self.dyn_config is None:
-                new_pose, blocked = kinematic_step(self.grid, self.pose, applied, self.spec)
-            else:
-                new_pose, self.actual_vel, events = dynamic_lite_step(
-                    self.grid, self.pose, self.actual_vel, applied,
-                    self.dyn_config, self.spec)
-                applied = self.actual_vel
-                # every event list opens with a contact, and a fall ends it
-                blocked = bool(events)
-                fell = blocked and events[-1][0] == "fall"
+            new_pose, applied, events = self.backend.step(
+                self.grid, self.pose, self.actual_vel, applied, self.spec)
+            self.actual_vel = applied
+            # every event list opens with a contact, and a fall ends it
+            blocked = bool(events)
+            fell = blocked and events[-1][0] == "fall"
 
         step_dist = math.hypot(new_pose.x - self.pose.x, new_pose.y - self.pose.y)
         self.pose = new_pose

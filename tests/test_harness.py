@@ -1,11 +1,13 @@
 import builtins
 import hashlib
 import io
+import math
 import os
 import pickle
 import shutil
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from kinnav import harness
@@ -15,12 +17,14 @@ from kinnav.harness import (BACKENDS, ConfigError, DatasetMismatchError,
                             EvalConfig, GapTable, bench_throughput, load_run,
                             run_batch, save_run, sim2sim_gap)
 from kinnav.maps import random_maze
-from kinnav.motion import PROFILES, VelocityCommand
+from kinnav.motion import PROFILES, Pose, VelocityCommand, kinematic_step
 from kinnav.noise import reference_model, save_noise_model
 from kinnav.plotting import PlotError, emit_plot
 from kinnav.robots import SPOT
-from kinnav.task import NavEnv
+from kinnav.task import DynamicLiteBackend, NavEnv, read_trajectory
 from kinnav.world import save_world
+
+from test_perfbench_targets import load_tracing
 
 
 @pytest.fixture(scope="module")
@@ -444,9 +448,9 @@ def test_bench_equal_work_sanity(monkeypatch):
     # (in contact the dynamic-lite slide/penetration handling legitimately
     # costs a few times more) with a 1-substep dynlite-a, retrying to ride
     # out timer noise
-    import numpy as np
     from kinnav.world import OccupancyGrid
-    monkeypatch.setitem(harness.BACKENDS, "dynlite-a", replace(PROFILES["profile-A"], substeps=1))
+    monkeypatch.setitem(harness.BACKENDS, "dynlite-a",
+                        DynamicLiteBackend(replace(PROFILES["profile-A"], substeps=1)))
     grid = OccupancyGrid(np.zeros((200, 200), dtype=bool), 1.0)
     for _ in range(3):
         res = bench_throughput(grid, SPOT, backends=("kinematic", "dynlite-a"),
@@ -472,6 +476,14 @@ def test_bench_measurement_stability(small_setup):
         pytest.fail(f"throughput unstable: {a:.0f} vs {b:.0f} steps/s")
 
 
+@pytest.mark.parametrize("steps", [1, 2])
+def test_bench_times_fewer_steps_than_chunks(small_setup, steps):
+    root, grid, map_path, ds_path = small_setup
+    res = bench_throughput(grid, SPOT, backends=("kinematic", "dynlite-b"),
+                           steps=steps, warmup=2)
+    assert res["kinematic"] > 0 and res["dynlite-b"] > 0 and res["ratio_dynlite-b"] > 0
+
+
 @pytest.mark.parametrize("steps, warmup", [(0, 10), (-5, 10), (10, -1)])
 def test_bench_refuses_bad_step_counts(small_setup, steps, warmup):
     root, grid, map_path, ds_path = small_setup
@@ -487,6 +499,81 @@ def test_bench_reports_all_backends(small_setup):
         assert res[b] > 0
     assert res["ratio_dynlite-a"] > 1.0
     assert res["ratio_dynlite-b"] > 1.0
+
+
+# -- backend protocol ------------------------------------------------------
+
+
+def test_kinematic_backend_contract(small_setup):
+    # one contact exactly when kinematic_step is blocked; the command is the velocity
+    root, grid, map_path, ds_path = small_setup
+    rng = np.random.default_rng(4)
+    free = np.argwhere(grid.passable_mask(SPOT.footprint_radius))
+    vel = VelocityCommand(0.1, 0.2, 0.3)
+    seen = set()
+    for iy, ix in free[rng.choice(len(free), 200)]:
+        x, y = grid.cell_center(int(ix), int(iy))
+        pose = Pose(x, y, rng.uniform(-math.pi, math.pi))
+        cmd = VelocityCommand(*rng.uniform(-1.0, 1.0, 3))
+        new_pose, blocked = kinematic_step(grid, pose, cmd, SPOT)
+        assert BACKENDS["kinematic"].step(grid, pose, vel, cmd, SPOT) == \
+            (new_pose, cmd, [("contact", 0)] if blocked else [])
+        seen.add(blocked)
+    assert seen == {False, True}
+
+
+class HoldBackend:
+    """A stub motion model: holds the pose and reports one contact per step."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def step(self, grid, pose, vel, cmd, spec):
+        self.calls += 1
+        return pose, vel, [("contact", 0)]
+
+
+def test_a_registered_backend_needs_no_other_change(small_setup, tmp_path, monkeypatch):
+    root, grid, map_path, ds_path = small_setup
+    hold = HoldBackend()
+    monkeypatch.setitem(BACKENDS, "hold", hold)
+    cfg = EvalConfig(map_path, ds_path, backend="hold", seeds=(0,))
+    summary, rows = run_batch(cfg, traj_dir=str(tmp_path))
+    assert summary["label"] == "spot-hold-oracle"
+    assert {r["termination_reason"] for r in rows} == {"step_budget"}
+    assert {r["num_actions"] for r in rows} == {SPOT.max_steps}
+    assert hold.calls == len(rows) * SPOT.max_steps
+    for r in rows:
+        traj = read_trajectory(str(tmp_path / f"traj_s0_e{r['episode_id']}.csv"))
+        assert all(rec["blocked"] == 1 for rec in traj)
+        assert len({(rec["x"], rec["y"]) for rec in traj}) == 1
+        assert {(rec["applied_vx"], rec["applied_vy"], rec["applied_w"]) for rec in traj} \
+            == {(0.0, 0.0, 0.0)}
+    hold.calls = 0
+    res = bench_throughput(grid, SPOT, backends=("kinematic", "hold"), steps=7, warmup=3)
+    assert hold.calls == 10
+    assert res["hold"] > 0 and res["ratio_hold"] > 0
+
+
+def test_kinematic_contacts_reach_no_physics_counter(small_setup, tmp_path):
+    # a blocked kinematic step is one contact event, but the traced physics
+    # counters (substeps, contact substeps, falls) count dynamic-lite alone
+    root, grid, map_path, ds_path = small_setup
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        run_batch(EvalConfig(map_path, ds_path, agent="random", seeds=(0,)),
+                  traj_dir=str(tmp_path))
+    finally:
+        tracer.uninstall()
+    stats, counters = tracer.take()
+    assert stats["motion.kinematic_step"][0] > 0
+    assert stats["motion.dynamic_lite_step"][0] == 0
+    blocked = sum(rec["blocked"] for name in os.listdir(tmp_path)
+                  for rec in read_trajectory(str(tmp_path / name)))
+    assert blocked > 0
+    for name in ("motion.substeps", "motion.contact_substeps", "motion.falls"):
+        assert counters[name] == 0, name
 
 
 # -- plotting --------------------------------------------------------------

@@ -10,10 +10,10 @@ from kinnav.maps import random_maze
 from kinnav.motion import PROFILES, Pose, VelocityCommand
 from kinnav.noise import reference_model
 from kinnav.robots import SPOT
-from kinnav.task import (PROXIMITY_MARGIN, Episode, EpisodeFinishedError,
-                         InvalidEpisodeError, NavEnv, RewardConfig, SensorConfig,
-                         compute_spl, depth_fan, observe, read_trajectory, reward,
-                         write_trajectory)
+from kinnav.task import (KINEMATIC, PROXIMITY_MARGIN, DynamicLiteBackend, Episode,
+                         EpisodeFinishedError, InvalidEpisodeError, NavEnv, RewardConfig,
+                         SensorConfig, compute_spl, depth_fan, observe, read_trajectory,
+                         reward, write_trajectory)
 from kinnav.world import OccupancyGrid, distance_field, load_world
 
 from oracles import CountingLists, raycast_reference
@@ -344,7 +344,8 @@ def test_proximity_count_matches_logged_clearance(cell_size):
     for k, ep in enumerate(ds.episodes):
         field = distance_field(grid, ep.goal, SPOT.footprint_radius)
         rng = np.random.default_rng(k)
-        env = NavEnv(grid, SPOT, dyn_config=PROFILES["profile-B"] if k % 2 else None,
+        backend = DynamicLiteBackend(PROFILES["profile-B"]) if k % 2 else KINEMATIC
+        env = NavEnv(grid, SPOT, backend=backend,
                      noise_model=reference_model("coupled"),
                      rng=rng, record_trajectory=True)
         agent = RandomAgent(SPOT, rng)
