@@ -37,7 +37,10 @@ class OracleAgent:
     path one cell at a time (DistanceField.descent_step) and stops at the
     first cell that turns off the line of the first move or lies beyond
     lin_limit * 1 s (NavEnv's control period), so it reads at most
-    lin_limit / cell_size + 1 cells of the path, whatever its length.
+    lin_limit / cell_size + 1 cells of the path, whatever its length. A pose
+    is on the lattice when it lies within 1e-9 m of its cell's center; the
+    cell and the centers come from the expressions of grid.world_to_cell and
+    grid.cell_center, written inline.
 
     Off the lattice, or on an inflated cell's center, it heads for the center
     of the cell that minimizes DistanceField.value_at's 3x3 envelope
@@ -78,34 +81,36 @@ class OracleAgent:
         grid = field.grid
         vals = field.flat_values
         w = grid.width
-        ix, iy = grid.world_to_cell(pose.x, pose.y)
-        cx, cy = grid.cell_center(ix, iy)
-        budget = self.spec.lin_limit
-        at_center = math.hypot(pose.x - cx, pose.y - cy) < 1e-9
+        cs = grid.cell_size
+        x, y = pose.x, pose.y
+        # the expressions of grid.world_to_cell and grid.cell_center, inline
+        ix = math.floor(x / cs)
+        iy = math.floor(y / cs)
+        at_center = math.hypot(x - (ix + 0.5) * cs, y - (iy + 0.5) * cs) < 1e-9
         if at_center and math.isfinite(vals[iy * w + ix]):
             step = field.descent_step
             cell = step((ix, iy))
             if cell is None:
                 raise NoPathError(f"no descent from cell ({ix}, {iy})")
             # merge colinear descent moves while they fit in one step
-            first = grid.cell_center(*cell)
-            fx, fy = first[0] - pose.x, first[1] - pose.y
-            target = first
+            budget = self.spec.lin_limit + 1e-12
+            target = ((cell[0] + 0.5) * cs, (cell[1] + 0.5) * cs)
+            fx, fy = target[0] - x, target[1] - y
             cell = step(cell)
             while cell is not None:
-                nx, ny = grid.cell_center(*cell)
-                tx, ty = nx - pose.x, ny - pose.y
-                d = math.hypot(tx, ty)
+                nx = (cell[0] + 0.5) * cs
+                ny = (cell[1] + 0.5) * cs
+                tx, ty = nx - x, ny - y
                 colinear = abs(fx * ty - fy * tx) < 1e-9 and (fx * tx + fy * ty) > 0
-                if not colinear or d > budget + 1e-12:
+                if not colinear or math.hypot(tx, ty) > budget:
                     break
                 target = (nx, ny)
                 cell = step(cell)
             return target
         # off the lattice (or in an inflated cell): head for value_at's minimizer
-        _, cell = field.lower_envelope(pose.x, pose.y)
+        _, cell = field.lower_envelope(x, y)
         if cell is None:
-            raise NoPathError(f"no reachable cell near ({pose.x}, {pose.y})")
+            raise NoPathError(f"no reachable cell near ({x}, {y})")
         return grid.cell_center(*cell)
 
 

@@ -71,6 +71,11 @@ class EvalConfig:
             raise ConfigError(f"unknown agent {self.agent!r}")
         if self.workers < 1:
             raise ConfigError("workers must be at least 1")
+        for seed in self.seeds:
+            # the RNG streams are keyed by np.random.SeedSequence, which takes
+            # only non-negative ints
+            if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+                raise ConfigError(f"seed {seed!r} is not a non-negative int")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"duplicate seeds in {self.seeds}")
         noise_tag = "-noise" if self.noise_path else ""

@@ -238,10 +238,6 @@ class NavEnv:
     def _observe(self):
         return observe(self.grid, self.pose, self.episode.goal, self.sensor)
 
-    def _goal_distance(self):
-        return math.hypot(self.episode.goal[0] - self.pose.x,
-                          self.episode.goal[1] - self.pose.y)
-
     def _is_slow(self, cmd):
         return (max(abs(cmd.vx), abs(cmd.vy)) < 0.1 * self.spec.lin_limit
                 and abs(cmd.w) < 0.1 * self.spec.ang_limit)
@@ -278,7 +274,8 @@ class NavEnv:
         self.path_length += step_dist
 
         new_dgeo = self.field.value_at(self.pose.x, self.pose.y)
-        within = self._goal_distance() <= self.spec.success_radius
+        obs = self._observe()
+        within = obs.goal_vector[0] <= self.spec.success_radius
 
         terminal = "none"
         if fell:
@@ -309,7 +306,7 @@ class NavEnv:
                 "clearance": self.grid.clearance(self.pose.x, self.pose.y),
             })
         info = {"blocked": blocked, "dgeo": new_dgeo, "r_geo": r_geo, "reason": self.reason}
-        return self._observe(), r, self.done, info
+        return obs, r, self.done, info
 
     def result(self):
         success = self.reason == "success"

@@ -585,7 +585,9 @@ class DistanceField:
     lower_envelope, holds the off-lattice rule: value_at returns its value
     and OracleAgent heads for its cell. A point whose whole 3x3 neighborhood
     is +inf falls back on the nearest finite cell center, found by an argmin
-    over those centers.
+    over those centers. Another, descent_step, holds the on-lattice rule: a
+    cell's next cell is its lowest strictly lower 8-neighbor, memoized per
+    field; descent_path walks it and OracleAgent merges its first moves.
     """
 
     def __init__(self, grid, goal, robot_radius, values):
@@ -661,43 +663,35 @@ class DistanceField:
         i = np.argmin(d2)
         return float(vals[i] + math.sqrt(d2[i]))
 
-    def descent_neighbor(self, ix, iy):
-        """Lowest-valued 8-neighbor of a cell, or None if all are +inf.
-
-        Neighbors are scanned in increasing (ny, nx) order and only a strictly
-        lower value replaces the best, so ties go to the lowest (ny, nx).
-        """
-        w, h = self.grid.width, self.grid.height
-        vals = self.flat_values
-        best = None
-        best_v = math.inf
-        for ny in (iy - 1, iy, iy + 1):
-            if ny < 0 or ny >= h:
-                continue
-            row = ny * w
-            for nx in (ix - 1, ix, ix + 1):
-                if 0 <= nx < w and (nx != ix or ny != iy):
-                    v = vals[row + nx]
-                    if v < best_v:
-                        best_v = v
-                        best = (nx, ny)
-        return best
-
     def descent_step(self, cell):
         """The cell after `cell` on its descent path, or None where the path ends.
 
-        The path ends at the goal cell and at a cell none of whose neighbors is
-        strictly lower. Results are memoized per field as cells are asked for.
+        The next cell is the lowest-valued 8-neighbor whose value is strictly
+        below the cell's own. Neighbors are scanned in increasing (ny, nx)
+        order and only a strictly lower value replaces the best, so ties go to
+        the lowest (ny, nx). The path ends at the goal cell and at a cell none
+        of whose neighbors is strictly lower. Results are memoized per field
+        as cells are asked for.
         """
         nxt = self._next.get(cell, False)
         if nxt is False:
             nxt = None
             if cell != self.goal_cell:
-                nxt = self.descent_neighbor(*cell)
+                ix, iy = cell
+                w, h = self.grid.width, self.grid.height
                 vals = self.flat_values
-                w = self.grid.width
-                if nxt is not None and vals[nxt[1] * w + nxt[0]] >= vals[cell[1] * w + cell[0]]:
-                    nxt = None
+                best_v = vals[iy * w + ix]
+                for ny in (iy - 1, iy, iy + 1):
+                    if ny < 0 or ny >= h:
+                        continue
+                    row = ny * w
+                    for nx in (ix - 1, ix, ix + 1):
+                        if 0 <= nx < w:
+                            # the cell itself is never strictly below best_v
+                            v = vals[row + nx]
+                            if v < best_v:
+                                best_v = v
+                                nxt = (nx, ny)
             self._next[cell] = nxt
         return nxt
 

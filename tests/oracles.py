@@ -8,10 +8,12 @@ the package's exact collision tests, so it checks the free boxes, the blocked
 discs and the hold horizon, which skips the tests of contacts certified in
 advance (tests/test_motion.py compares them on hugging starts at walls,
 corners and the grid edge, for Spot, AlienGo and A1 at 24, 60 and 240
-substeps, with reversed velocities and turns at the angular limit),
-descent_path_reference and oracle_target_reference on
-DistanceField.descent_neighbor, and cell_lists_reference builds a collision
-checker's per-cell lists. The numpy-indexing versions of the distance-field
+substeps, with reversed velocities and turns at the angular limit), and
+cell_lists_reference builds a collision checker's per-cell lists.
+descent_neighbor_reference is the neighbor scan that DistanceField ran
+before it was folded into descent_step; descent_step_reference,
+descent_path_reference and oracle_target_reference walk it, so they share no
+read with the package. The numpy-indexing versions of the distance-field
 reads (value_at_reference, descent_neighbor_reference,
 oracle_target_numpy_reference) and the one-way move graph searched undirected
 (distance_values_reference) check the memoryview reads and the symmetric
@@ -236,12 +238,15 @@ def dynlite_reference_step(grid, pose, actual_vel, cmd, config, spec, dt=1.0):
 
 
 def descent_path_reference(field, ix, iy):
-    """DistanceField.descent_path as it was: the whole path, one neighbor scan per cell."""
+    """DistanceField.descent_path as it was: the whole path, one neighbor scan per cell.
+
+    The scan is descent_neighbor_reference, so no package read is shared.
+    """
     path = [(ix, iy)]
     cur = (ix, iy)
     guard = field.grid.width * field.grid.height + 1
     while cur != field.goal_cell and guard > 0:
-        nxt = field.descent_neighbor(*cur)
+        nxt = descent_neighbor_reference(field, *cur)
         if nxt is None or field.values[nxt[1], nxt[0]] >= field.values[cur[1], cur[0]]:
             break
         path.append(nxt)
@@ -429,7 +434,10 @@ def value_at_reference(field, x, y):
 
 
 def descent_neighbor_reference(field, ix, iy):
-    """DistanceField.descent_neighbor as it was: numpy-scalar reads and a tie clause."""
+    """DistanceField.descent_neighbor as it was: numpy-scalar reads and a tie clause.
+
+    Lowest-valued 8-neighbor of a cell, or None if all are +inf.
+    """
     grid = field.grid
     vals = field.values
     best = None

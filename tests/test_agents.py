@@ -120,10 +120,18 @@ def test_oracle_monotone_dgeo_on_maze():
         assert b < a - 1e-12
 
 
+# offsets from a cell center on both sides of _target's 1e-9 at-center
+# tolerance: along each axis, both ways, and diagonally (hypot 0.85e-9 and 1.13e-9)
+CENTER_OFFSETS = [(d * sx, 0.0) for d in (0.5e-9, 0.9e-9, 1.1e-9, 2e-9) for sx in (1, -1)]
+CENTER_OFFSETS += [(dy, dx) for dx, dy in CENTER_OFFSETS]
+CENTER_OFFSETS += [(d * sx, d * sy) for d in (0.6e-9, 0.8e-9) for sx in (1, -1) for sy in (1, -1)]
+
+
 def test_oracle_targets_match_reference():
     # oracle rollouts on and off the cell lattice (noise), for robots whose
-    # one-step reach spans one to five cells
-    on_lattice = off_lattice = 0
+    # one-step reach spans one to five cells; every on-lattice pose is also
+    # tried at CENTER_OFFSETS from its center
+    on_lattice = off_lattice = near_center = flips = 0
     for cell_size, corridor, robot, noisy in ((0.25, 3, "spot", False), (0.25, 3, "spot", True),
                                               (0.5, 3, "spot", True), (0.25, 3, "a1", False),
                                               (0.25, 3, "aliengo", True), (0.1, 9, "spot", False)):
@@ -141,14 +149,25 @@ def test_oracle_targets_match_reference():
             while not done:
                 if obs.goal_vector[0] > spec.success_radius:
                     pose = obs.pose
-                    assert agent._target(pose) == oracle_target_reference(field, spec, 1.0, pose)
+                    target = agent._target(pose)
+                    assert target == oracle_target_reference(field, spec, 1.0, pose)
                     cx, cy = grid.cell_center(*grid.world_to_cell(pose.x, pose.y))
                     if math.hypot(pose.x - cx, pose.y - cy) < 1e-9:
                         on_lattice += 1
+                        for dx, dy in CENTER_OFFSETS:
+                            moved = Pose(cx + dx, cy + dy, pose.theta)
+                            got = target_or_error(agent._target, moved)
+                            assert got == target_or_error(oracle_target_reference,
+                                                          field, spec, 1.0, moved), moved
+                            if math.hypot(moved.x - cx, moved.y - cy) < 1e-9:
+                                near_center += 1
+                                flips += got != target
                     else:
                         off_lattice += 1
                 obs, _, done, _ = env.step(agent.act(obs)[0])
     assert on_lattice >= 200 and off_lattice >= 200
+    # inside the tolerance the merge budget test can flip (Spot's 0.5 m is two 0.25 m cells)
+    assert near_center >= 200 * 8 and flips > 0
 
 
 def target_or_error(target, *args):

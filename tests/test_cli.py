@@ -212,6 +212,23 @@ def test_run_rejects_duplicate_seeds(workspace, capsys):
     assert not os.path.exists(str(root / "dup"))
 
 
+def test_run_rejects_negative_seed(workspace, capsys):
+    # with noise the parent's run opened its first RNG stream for seed -1 mid-run
+    root, map_path = workspace
+    ds = str(root / "neg_eps.jsonl")
+    noise = str(root / "neg.noise")
+    with open(noise, "w") as f:
+        f.write(resources.files("kinnav.data").joinpath("spot_coupled.noise").read_text())
+    assert main(["gen-episodes", "--map", map_path, "--n", "2",
+                 "--seed", "2", "--out", ds]) == 0
+    for noise_arg in ("none", noise):
+        out = root / f"neg_{os.path.basename(noise_arg)}"
+        assert main(["run", "--map", map_path, "--dataset", ds, "--seeds", "0,-1",
+                     "--noise", noise_arg, "--out", str(out)]) == 2
+        assert "error: seed -1 is not a non-negative int" in capsys.readouterr().err
+        assert not os.path.exists(str(out))
+
+
 @pytest.mark.parametrize("key", ["dataset_sha256", "seeds", "map_sha256"])
 def test_gap_names_missing_summary_key(workspace, capsys, key):
     root, map_path = workspace

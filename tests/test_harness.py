@@ -4,6 +4,7 @@ import io
 import math
 import os
 import pickle
+import re
 import shutil
 from dataclasses import replace
 
@@ -56,6 +57,14 @@ def test_eval_config_validation(small_setup):
         EvalConfig(map_path, ds_path, seeds=(1, 0, 1))
     cfg = EvalConfig(map_path, ds_path, backend="dynlite-a", noise_path=None)
     assert cfg.label == "spot-dynlite-a-oracle"
+
+
+@pytest.mark.parametrize("seed", [-1, 1.0, 0.5, True, "1", None])
+def test_eval_config_rejects_seeds_the_rng_streams_refuse(small_setup, seed):
+    root, grid, map_path, ds_path = small_setup
+    with pytest.raises(ConfigError, match=rf"seed {re.escape(repr(seed))} "):
+        EvalConfig(map_path, ds_path, seeds=(0, seed))
+    assert EvalConfig(map_path, ds_path, seeds=(0, np.int64(2))).seeds == (0, 2)
 
 
 def test_label_follows_a_replaced_condition():

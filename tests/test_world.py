@@ -17,7 +17,7 @@ from kinnav.world import (CERT_EPS, DistanceField, InvalidGoalError, MapError,
                           raycast, save_world)
 
 from oracles import (KDFieldReference, KDGridReference, blocked_oracle, cell_lists_reference,
-                     clearance_oracle, descent_neighbor_reference, descent_path_reference, dijkstra_oracle,
+                     clearance_oracle, descent_path_reference, descent_step_reference, dijkstra_oracle,
                      distance_values_reference, neighbor_graph_reference, raycast_reference,
                      raymarch_oracle, save_world_reference, value_at_reference)
 
@@ -262,19 +262,40 @@ def test_descent_path_matches_reference():
     assert finite > 4000
 
 
-def test_descent_neighbor_ties_go_to_lowest_row_then_column():
+def test_descent_step_ties_go_to_lowest_row_then_column():
     grid = empty_grid(4)
+    goal = (3.5, 3.5)
+
+    def step(values, cell=(1, 1)):
+        f = DistanceField(grid, goal, 0.0, values)
+        got = f.descent_step(cell)
+        assert got == descent_step_reference(f, cell)
+        return got
+
     values = np.full((4, 4), 5.0)
     # three neighbors of cell (1, 1) tie at the lowest value
     values[0, 2] = values[2, 0] = values[1, 0] = 1.0
-    f = DistanceField(grid, (1.5, 1.5), 0.0, values)
-    assert f.descent_neighbor(1, 1) == (2, 0)
+    assert step(values) == (2, 0)
     values = np.full((4, 4), 5.0)
     values[2, 2] = values[2, 1] = values[1, 2] = 1.0
-    f = DistanceField(grid, (1.5, 1.5), 0.0, values)
-    assert f.descent_neighbor(1, 1) == (2, 1)
-    f = DistanceField(grid, (1.5, 1.5), 0.0, np.full((4, 4), math.inf))
-    assert f.descent_neighbor(1, 1) is None
+    assert step(values) == (2, 1)
+    assert step(np.full((4, 4), math.inf)) is None
+    # an unreachable cell descends to its lowest finite neighbor
+    values = np.full((4, 4), math.inf)
+    values[2, 1] = 3.0
+    values[1, 2] = 2.0
+    assert step(values) == (2, 1)
+    # neighbors that tie with the cell, or lie above it, end the path
+    values = np.full((4, 4), 5.0)
+    assert step(values) is None
+    values = np.full((4, 4), 5.0)
+    values[0, 0] = 6.0
+    values[1, 1] = 4.0
+    assert step(values) is None
+    # the goal cell ends the path whatever its neighbors hold
+    values = np.full((4, 4), 5.0)
+    values[2, 2] = 1.0
+    assert step(values, (3, 3)) is None
 
 
 def reference_fields():
@@ -290,11 +311,11 @@ def reference_fields():
     return out
 
 
-def test_value_at_and_descent_neighbor_match_numpy_reads():
+def test_value_at_and_descent_step_match_numpy_reads():
     # lattice, off-lattice and border points; points whose whole 3x3
     # neighborhood is +inf take the fallback on both paths
     rng = np.random.default_rng(3)
-    lattice = off = border = all_inf = 0
+    lattice = off = border = all_inf = descents = 0
     for grid, f in reference_fields():
         x0, y0, x1, y1 = grid.extent
         cs = grid.cell_size
@@ -316,8 +337,10 @@ def test_value_at_and_descent_neighbor_match_numpy_reads():
             all_inf += int(not np.isfinite(window).any())
         for iy in range(grid.height):
             for ix in range(grid.width):
-                assert f.descent_neighbor(ix, iy) == descent_neighbor_reference(f, ix, iy)
+                assert f.descent_step((ix, iy)) == descent_step_reference(f, (ix, iy)), (ix, iy)
+                descents += f.descent_step((ix, iy)) is not None
     assert lattice > 3000 and off > 3000 and border > 500 and all_inf > 500
+    assert descents > 3000
 
 
 @pytest.mark.parametrize("cell_size", [0.1, 0.15, 0.25, 0.5])
