@@ -10,7 +10,7 @@ the goal distance field it was constructed with.
 import math
 from typing import NamedTuple
 
-from .motion import VelocityCommand, clamp_command, wrap_angle
+from .motion import VelocityCommand, wrap_angle
 
 
 class NoPathError(RuntimeError):
@@ -31,7 +31,8 @@ class OracleAgent:
     Moves from cell center to cell center along the descent path, merging
     colinear moves up to the velocity limit, and stops inside the success
     radius. Never commands into inflated cells, so it never collides under the
-    kinematic backend.
+    kinematic backend. Its commands are not clamped here: NavEnv.step clamps
+    every action to the robot's limits.
 
     Each step looks ahead only as far as the merge can reach: it takes the
     path one cell at a time (DistanceField.descent_step) and stops at the
@@ -73,8 +74,7 @@ class OracleAgent:
         vy = (-s * ux + c * uy) * speed
         err = wrap_angle(math.atan2(dyw, dxw) - pose.theta)
         w = min(max(err, -self.spec.ang_limit), self.spec.ang_limit)
-        cmd = clamp_command(VelocityCommand(vx, vy, w), self.spec)
-        return AgentAction(cmd), memory
+        return AgentAction(VelocityCommand(vx, vy, w)), memory
 
     def _target(self, pose):
         field = self.field

@@ -69,8 +69,9 @@ class EvalConfig:
             raise ConfigError(f"unknown robot {self.robot!r}")
         if self.agent not in AGENTS:
             raise ConfigError(f"unknown agent {self.agent!r}")
-        if self.workers < 1:
-            raise ConfigError("workers must be at least 1")
+        workers = self.workers
+        if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)) or workers < 1:
+            raise ConfigError(f"workers {workers!r} is not a positive int")
         for seed in self.seeds:
             # the RNG streams are keyed by np.random.SeedSequence, which takes
             # only non-negative ints

@@ -125,9 +125,6 @@ PROFILES = {
     "profile-B": DynamicLiteConfig(tau=0.60, slide_on_contact=False),
 }
 
-# the empty free box: NaN bounds contain no point
-_NO_BOX = (math.nan, math.nan, math.nan, math.nan)
-
 # relative and absolute padding of the hold-horizon bounds, far above their rounding
 _PAD_REL = 1.0 + 1e-6
 _PAD_ABS = 1e-15
@@ -146,13 +143,14 @@ def dynamic_lite_step(grid, pose, actual_vel, cmd, config, spec):
     ('contact', substep) and ('fall', substep) tuples. A fall ends the step.
 
     Collision answers equal checker.blocked(), that is clearance < radius, at
-    every tested point, but most come from two certificates (see
-    _CollisionChecker): points strictly inside the free box
-    (x0, y0, x1, y1) are free, points within sqrt(b2) of (bx, by) blocked.
-    A point outside both pays one scan of its cell list, which builds the
-    next box or, where free_box() refuses, leaves the distance that
-    certify() reads. Near a wall the box keeps the whole cell short of it,
-    so a robot moving along the wall stays inside one box per cell.
+    every tested point, but most come from the two regions of
+    checker.certificate() (see _CollisionChecker): points strictly inside the
+    free box (x0, y0, x1, y1) are free, points within sqrt(b2) of (bx, by)
+    blocked. A point outside both asks certificate(), which pays at most one
+    scan of its cell list and replaces the box or the disc; the box is
+    always the checker's last box. Near a wall the box keeps the whole cell
+    short of it, so a robot moving along the wall stays inside one box per
+    cell.
 
     Hold horizon: a profile that does not slide stays at (x, y) in contact, and
     substep j tests the candidate (x, y) + d_j with d_j = R(theta_j) v_j delta.
@@ -178,14 +176,11 @@ def dynamic_lite_step(grid, pose, actual_vel, cmd, config, spec):
     test per substep.
     """
     checker = grid.collision_checker(spec.footprint_radius)
-    certify = checker.certify
-    free_box = checker.free_box
+    certificate = checker.certificate
     x, y, th = pose.x, pose.y, pose.theta
-    box = free_box(x, y)
-    if box is None:
-        if checker.blocked(x, y):
-            raise InconsistentStateError(f"pose {pose} starts in collision")
-        box = _NO_BOX
+    hit, box = certificate(x, y)
+    if hit:
+        raise InconsistentStateError(f"pose {pose} starts in collision")
     x0, y0, x1, y1 = box
     bx = by = b2 = 0.0
     n = config.substeps
@@ -220,16 +215,12 @@ def dynamic_lite_step(grid, pose, actual_vel, cmd, config, spec):
         ey = ny - by
         e2 = ex * ex + ey * ey
         if e2 >= b2:
-            box = free_box(nx, ny)
-            if box is not None:
-                x0, y0, x1, y1 = box
-                x, y = nx, ny
-                continue
-            hit, reach2 = certify(nx, ny)
+            hit, region = certificate(nx, ny)
             if not hit:
+                x0, y0, x1, y1 = region
                 x, y = nx, ny
                 continue
-            bx, by, b2 = nx, ny, reach2
+            bx, by, b2 = nx, ny, region
             e2 = 0.0
         events.append(("contact", k))
         if hold is None:
@@ -263,14 +254,11 @@ def dynamic_lite_step(grid, pose, actual_vel, cmd, config, spec):
                     if ex * ex + ey * ey < b2:
                         hit = True
                     else:
-                        box = free_box(px, py)
-                        if box is not None:
-                            x0, y0, x1, y1 = box
-                            hit = False
+                        hit, region = certificate(px, py)
+                        if hit:
+                            bx, by, b2 = px, py, region
                         else:
-                            hit, reach2 = certify(px, py)
-                            if hit:
-                                bx, by, b2 = px, py, reach2
+                            x0, y0, x1, y1 = region
                 if not hit:
                     x, y = px, py
                     break

@@ -228,7 +228,7 @@ class _CollisionChecker:
 
     nearest() keeps a one-entry memo: the last point it scanned and the
     distance it returned. A query with the same x and y (==) gets that
-    distance without a scan, so blocked(), certify(), near() and
+    distance without a scan, so blocked(), certificate(), near() and
     penetration() share it. A kinematic step tests the pose the previous step
     ended on, and NavEnv.step's near() measures the pose the step just
     tested, so most queries of a kinematic run repeat the one before. The
@@ -240,20 +240,19 @@ class _CollisionChecker:
     the full path. The memo is one tuple, stored in one step, so a checker
     shared between threads never pairs one point with another's distance.
 
-    Two certificates let a caller answer many points without a query, one
-    for each answer. certify() gives blocked()'s answer and, for a blocked
-    point, a disc on which blocked() stays True: the clearance is
-    1-Lipschitz, so with d = nearest(p) <= radius - CERT_EPS every point
-    closer to p than radius - d - CERT_EPS is blocked. A free point gets an
-    empty disc; free space is certified by boxes.
-
-    free_box() gives an open axis-aligned box around a free point on which
-    blocked() is False, reading the point's cell list once. With
-    r = radius + CERT_EPS, it first measures the list as nearest() does,
-    with r as the starting bound. A rectangle closer than r refuses the
-    box; the grid edge is farther (a point within r of it is refused before
-    the list is read), so the distance found is nearest()'s answer, and it
-    goes into nearest()'s memo: the caller's next nearest() costs no second
+    certificate() gives blocked()'s answer with a region on which the answer
+    holds, so a caller can answer many points without a query. A blocked
+    point gets a disc: the clearance is 1-Lipschitz, so with
+    d = nearest(p) <= radius - CERT_EPS every point closer to p than
+    radius - d - CERT_EPS is blocked (a point with d within CERT_EPS below
+    radius gets the empty disc, r2 = 0). A free point gets an open axis-aligned
+    box on which blocked() is False. certificate() reads the point's cell
+    list at most once. With r = radius + CERT_EPS, it first measures the
+    list as nearest() does, with r as the starting bound. A rectangle closer
+    than r refuses the box; the grid edge is farther (a point within r of it
+    is handed to nearest() before the list is read), so the distance found
+    is nearest()'s answer, the point's disc comes from it, and it goes into
+    nearest()'s memo: a later penetration() of the point costs no second
     scan. Otherwise the box starts as the point's cell pulled in from the
     grid edge by r, and every rectangle whose r-neighbourhood may meet it
     cuts it:
@@ -268,16 +267,18 @@ class _CollisionChecker:
     Every point of the box is then at least r from the grid edge and from
     every rectangle of the list. The box lies in the cell, whose list holds
     every rectangle within radius + cap of any point of the cell, so no
-    other rectangle comes that close. A point on its cell's boundary fits in
-    no such box and is refused too, as is, rarely, a point within rounding
-    of distance r, where the cuts leave the box empty at float precision.
-    A wall thus only removes the half-plane beyond it, where a disc about
-    the point would shrink to the gap to the wall.
+    other rectangle comes that close. A wall thus only removes the
+    half-plane beyond it, where a disc about the point would shrink to the
+    gap to the wall.
 
-    free_box() remembers the last box it built, as one tuple like
-    nearest()'s memo, and returns it for any point strictly inside it. A box
-    is free wherever it lies, so the memo cannot go stale, and a NaN lies
-    inside no box. A dynamic-lite step starts where the previous one
+    The checker remembers the last box it built, as one tuple like
+    nearest()'s memo, and answers any point strictly inside it with it. A
+    box is free wherever it lies, so the memo cannot go stale, and a NaN
+    lies inside no box. A free point that fits in no box of its own (one
+    within r of the grid edge or on its cell's boundary, or rarely one
+    within rounding of distance r, where the cuts leave the box empty at
+    float precision) gets the last box as well: it need not hold the point,
+    but it is free. A dynamic-lite step starts where the previous one
     stopped, which is usually inside the last box.
 
     CERT_EPS = 1e-9 m is orders of magnitude above the rounding error of the
@@ -303,7 +304,7 @@ class _CollisionChecker:
         self._blocked_to = radius - CERT_EPS
         # nearest()'s memo (x, y, distance), empty until the first scan: NaN matches no query
         self._last = (math.nan, math.nan, math.nan)
-        # free_box()'s memo (x0, y0, x1, y1), empty until the first box: NaN contains no point
+        # certificate()'s last box (x0, y0, x1, y1), empty until the first: NaN contains no point
         self._box = (math.nan, math.nan, math.nan, math.nan)
         # rects within radius + cap of a point, via their centers, from anywhere in the cell
         self._lists = self._cell_lists(radius + self.cap + SQRT2 * cs)
@@ -415,46 +416,49 @@ class _CollisionChecker:
             d = self.grid.clearance(x, y)
         return d - self.radius < margin
 
-    def certify(self, x, y):
-        """(blocked(x, y), r2): blocked() stays True within sqrt(r2) of a blocked point.
+    def certificate(self, x, y):
+        """(blocked(x, y), region): a region around (x, y) with the same answer.
 
-        r2 is 0.0 for a free point: free space is certified by free_box().
-        """
-        d = self.nearest(x, y)
-        if d <= self._blocked_to:
-            reach = self._blocked_to - d
-            return True, reach * reach
-        return d < self.radius, 0.0
-
-    def free_box(self, x, y):
-        """An open box (x0, y0, x1, y1) around (x, y) on which blocked() is False, or None.
-
-        None means a rect or the grid edge lies within radius + CERT_EPS of
-        the point, or the point is on its cell's boundary, or rarely that
-        rounding would leave the box empty (see the class docstring). The
-        caller then asks nearest(); after a rect refused the box, its memo
-        holds the answer.
+        For a blocked point the region is r2: blocked() stays True within
+        sqrt(r2) of it. For a free point it is an open box (x0, y0, x1, y1)
+        on which blocked() is False: the last box if it holds the point, else
+        the box built around it, else, where no box fits (see the class
+        docstring), the last box, which holds no point before the first box
+        is built. Reads the point's cell list at most once.
         """
         box = self._box
         if box[0] < x < box[2] and box[1] < y < box[3]:
-            return box
+            return False, box
         r = self._free_from
-        if not (r < x < self._x1 - r and r < y < self._y1 - r):
-            return None
-        cs = self._cs
-        ix = int(x / cs)
-        iy = int(y / cs)
-        if ix >= self._w:
-            ix = self._w - 1
-        if iy >= self._h:
-            iy = self._h - 1
-        rects = self._lists[iy * self._w + ix]
-        # a rect closer than r refuses; the edge is farther, so the distance
-        # found is nearest()'s answer
-        d = self._scan(rects, x, y, r)
-        if d < r:
+        if r < x < self._x1 - r and r < y < self._y1 - r:
+            cs = self._cs
+            ix = int(x / cs)
+            iy = int(y / cs)
+            if ix >= self._w:
+                ix = self._w - 1
+            if iy >= self._h:
+                iy = self._h - 1
+            rects = self._lists[iy * self._w + ix]
+            # a rect closer than r refuses the box; the edge is farther, so the
+            # distance found is nearest()'s answer
+            d = self._scan(rects, x, y, r)
+            if d >= r:
+                return False, self._build_box(rects, ix, iy, x, y)
             self._last = (x, y, d)
-            return None
+        else:
+            d = self.nearest(x, y)
+        if d <= self._blocked_to:
+            reach = self._blocked_to - d
+            return True, reach * reach
+        if d < self.radius:
+            return True, 0.0
+        return False, box
+
+    def _build_box(self, rects, ix, iy, x, y):
+        """Cut the box about free point (x, y) from its cell (ix, iy); it becomes
+        the last box if it holds the point. Returns the last box."""
+        cs = self._cs
+        r = self._free_from
         # the point's cell, pulled in from the grid edge
         x0 = max(ix * cs, r)
         x1 = min((ix + 1) * cs, self._x1 - r)
@@ -508,9 +512,8 @@ class _CollisionChecker:
             else:
                 x0 = bx
         if x0 < x < x1 and y0 < y < y1:
-            box = self._box = (x0, y0, x1, y1)
-            return box
-        return None
+            self._box = (x0, y0, x1, y1)
+        return self._box
 
 
 # -- map document I/O -----------------------------------------------------

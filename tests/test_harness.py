@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from kinnav import harness
+from kinnav import harness, task
 from kinnav.agents import ConstantAgent
 from kinnav.episodes import sample_episodes, write_dataset
 from kinnav.harness import (BACKENDS, ConfigError, DatasetMismatchError,
@@ -25,6 +25,7 @@ from kinnav.robots import SPOT
 from kinnav.task import DynamicLiteBackend, NavEnv, read_trajectory
 from kinnav.world import save_world
 
+from oracles import dynlite_reference_step
 from test_perfbench_targets import load_tracing
 
 
@@ -65,6 +66,14 @@ def test_eval_config_rejects_seeds_the_rng_streams_refuse(small_setup, seed):
     with pytest.raises(ConfigError, match=rf"seed {re.escape(repr(seed))} "):
         EvalConfig(map_path, ds_path, seeds=(0, seed))
     assert EvalConfig(map_path, ds_path, seeds=(0, np.int64(2))).seeds == (0, 2)
+
+
+@pytest.mark.parametrize("workers", [0, -1, 1.5, 2.0, True, "2", None])
+def test_eval_config_rejects_workers_that_are_not_positive_ints(small_setup, workers):
+    root, grid, map_path, ds_path = small_setup
+    with pytest.raises(ConfigError, match=rf"workers {re.escape(repr(workers))} "):
+        EvalConfig(map_path, ds_path, workers=workers)
+    assert EvalConfig(map_path, ds_path, workers=np.int64(2)).workers == 2
 
 
 def test_label_follows_a_replaced_condition():
@@ -583,6 +592,35 @@ def test_kinematic_contacts_reach_no_physics_counter(small_setup, tmp_path):
     assert blocked > 0
     for name in ("motion.substeps", "motion.contact_substeps", "motion.falls"):
         assert counters[name] == 0, name
+
+
+@pytest.mark.parametrize("backend", ["dynlite-a", "dynlite-b"])
+def test_dynlite_runs_equal_the_exact_reference(tmp_path, monkeypatch, backend):
+    # the certified substep loop against one exact collision test per substep,
+    # end to end: rows and trajectories, oracle and random agents, both
+    # profiles (dynlite-a slides on contact, dynlite-b holds)
+    grid = random_maze(33, 33, 0.25, seed=30)
+    map_path = str(tmp_path / "maze.map")
+    with open(map_path, "w") as f:
+        f.write(save_world(grid))
+    ds_path = str(tmp_path / "episodes.jsonl")
+    write_dataset(sample_episodes(grid, 4, seed=3, largest_spec=SPOT), ds_path)
+
+    def run(name):
+        out = {}
+        for agent in ("oracle", "random"):
+            traj_dir = tmp_path / name / agent
+            cfg = EvalConfig(map_path, ds_path, backend=backend, agent=agent, seeds=(0, 1))
+            out[agent] = run_batch(cfg, traj_dir=str(traj_dir))[1]
+            for path in sorted(traj_dir.iterdir()):
+                out[agent, path.name] = path.read_bytes()
+        return out
+
+    fast = run("fast")
+    monkeypatch.setattr(task, "dynamic_lite_step", dynlite_reference_step)
+    assert fast == run("reference")
+    assert sum(r["num_collisions"] for r in fast["random"]) > 100
+    assert len(fast) == 2 + 2 * 2 * 4
 
 
 # -- plotting --------------------------------------------------------------

@@ -16,8 +16,9 @@ from kinnav.world import (CERT_EPS, DistanceField, InvalidGoalError, MapError,
                           OccupancyGrid, OutOfBoundsError, distance_field, load_world,
                           raycast, save_world)
 
-from oracles import (KDFieldReference, KDGridReference, blocked_oracle, cell_lists_reference,
-                     clearance_oracle, descent_path_reference, descent_step_reference, dijkstra_oracle,
+from oracles import (CountingLists, KDFieldReference, KDGridReference, blocked_oracle,
+                     cell_lists_reference, clearance_oracle, descent_path_reference,
+                     descent_step_reference, dijkstra_oracle,
                      distance_values_reference, neighbor_graph_reference, raycast_reference,
                      raymarch_oracle, save_world_reference, value_at_reference)
 
@@ -583,8 +584,15 @@ def test_certified_discs_agree_with_blocked():
     for grid in checker_grids():
         checker = grid.collision_checker(0.3)
         for x, y in probe_points(grid, rng, n=150):
-            hit, reach2 = checker.certify(x, y)
+            hit, region = checker.certificate(x, y)
             assert hit == checker.blocked(x, y)
+            if not hit:
+                # a free point's box, wherever it lies, is free
+                if region[0] < region[2]:
+                    for qx, qy in points_inside(region, x, y, rng):
+                        assert not checker.blocked(qx, qy), (x, y, region, qx, qy)
+                continue
+            reach2 = region
             reach = math.sqrt(reach2)
             for t in (0.5, 1.0 - 1e-12):
                 for a in rng.uniform(-math.pi, math.pi, 4):
@@ -616,8 +624,15 @@ def test_memo_answers_as_a_fresh_checker():
                (0.0, 1.0), (-0.0, 1.0), (0.0, 1.0), (1.0, -0.0), (1.0, 0.0),
                (-0.5, 1.0), (x1 + 0.5, 1.0), (x1, 1.0), (1.0, y1), b,
                (nan, 1.0), (nan, 1.0), (1.0, nan), (1.0, nan), b, (b[0], nan), b]
+
+    def certified(ch, x, y):
+        # a free point's box depends on the box memo by design: compare the
+        # answer and a blocked point's disc
+        hit, region = ch.certificate(x, y)
+        return hit, region if hit else None
+
     calls = [lambda ch, x, y: ch.nearest(x, y), lambda ch, x, y: ch.blocked(x, y),
-             lambda ch, x, y: ch.penetration(x, y), lambda ch, x, y: ch.certify(x, y),
+             lambda ch, x, y: ch.penetration(x, y), certified,
              lambda ch, x, y: ch.near(x, y, PROXIMITY_MARGIN)]
 
     def outcome(call, checker, x, y):
@@ -676,6 +691,7 @@ def test_free_box_is_free_and_refused_only_near_contact(scale):
         cs = grid.cell_size
         radius = scale * cs
         checker = grid.collision_checker(radius)
+        checker._lists = lists = CountingLists(checker._lists)
         r = radius + CERT_EPS
         pts = box_points(grid, rng, r, 1000)
         # points within ulps of nearest() == r, where the box is thinnest
@@ -686,9 +702,16 @@ def test_free_box_is_free_and_refused_only_near_contact(scale):
         for x, y in pts:
             # forget the last box: every box below is built for its own point
             checker._box = (math.nan,) * 4
-            box = checker.free_box(x, y)
-            if box is None:
+            before = lists.reads
+            hit, box = checker.certificate(x, y)
+            assert lists.reads - before <= 1, (k, x, y)
+            # a blocked point's distance is left in nearest()'s memo
+            assert hit == checker.blocked(x, y), (k, x, y)
+            assert not hit or lists.reads - before <= 1, (k, x, y)
+            if hit or not (box[0] < x < box[2] and box[1] < y < box[3]):
                 refused += 1
+                # a free point that fits in no box gets the last, here empty, box
+                assert hit or all(map(math.isnan, box)), (k, x, y, box)
                 # nearest() answers from the memo a refusing rect left
                 d = checker.nearest(x, y)
                 if d < r:
@@ -720,8 +743,10 @@ def test_free_box_memo_serves_only_points_inside():
     for x, y in pts:
         for checker in (small, large, small):
             last = checker._box
-            box = checker.free_box(x, y)
-            if box is None:
+            hit, box = checker.certificate(x, y)
+            if hit or not (box[0] < x < box[2] and box[1] < y < box[3]):
+                # no box holds the point: a free one gets the last box
+                assert hit or box is last
                 assert checker.nearest(x, y) < checker.radius + CERT_EPS
                 continue
             served += box is last
@@ -731,21 +756,33 @@ def test_free_box_memo_serves_only_points_inside():
                 assert not checker.blocked(qx, qy), (checker.radius, box, qx, qy)
             # a point inside the last box is served from the memo
             qx, qy = points_inside(box, x, y, rng)[0]
-            assert checker.free_box(qx, qy) is box
-            # a side, a point 1 ulp beyond it, and NaN coordinates are not:
-            # they get a box that holds them, or none
+            hit, out = checker.certificate(qx, qy)
+            assert not hit and out is box
+            # a side and a point 1 ulp beyond it are not: they get a disc, a
+            # box that holds them, or the last box
             for qx, qy in ((x0, y), (math.nextafter(x0, -1.0), y), (x, y1),
-                           (x, math.nextafter(y1, math.inf)), (nan, y), (x, nan)):
+                           (x, math.nextafter(y1, math.inf))):
                 checker._box = box
-                out = checker.free_box(qx, qy)
-                assert out is None or out[0] < qx < out[2] and out[1] < qy < out[3]
+                hit, out = checker.certificate(qx, qy)
+                assert hit or out is box or out[0] < qx < out[2] and out[1] < qy < out[3]
+            # nor are NaN coordinates: they get blocked()'s answer, or its ValueError
+            for qx, qy in ((nan, y), (x, nan)):
+                checker._box = box
+                try:
+                    hit = checker.blocked(qx, qy)
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        checker.certificate(qx, qy)
+                else:
+                    assert checker.certificate(qx, qy)[0] == hit
     assert served >= 100
     # clearance between the radii: a box for the small radius, none for the large
     free = [(x, y) for x, y in pts if 0.2 + 1e-3 < grid.clearance(x, y) < 0.3 - 1e-3]
     assert free
     for x, y in free:
-        assert small.free_box(x, y) is not None
-        assert large.free_box(x, y) is None
+        hit, box = small.certificate(x, y)
+        assert not hit and box[0] < x < box[2] and box[1] < y < box[3]
+        assert large.certificate(x, y)[0]
 
 
 def boundary_points(inside, a, b):
