@@ -45,8 +45,9 @@ class OracleAgent:
 
     Off the lattice, or on an inflated cell's center, it heads for the center
     of the cell that minimizes DistanceField.value_at's 3x3 envelope
-    (DistanceField.lower_envelope), and raises NoPathError when no cell of
-    that block is finite.
+    (DistanceField.lower_envelope, whose memo answers the pose NavEnv.step's
+    value_at just measured without a second scan), and raises NoPathError
+    when no cell of that block is finite.
     """
 
     def __init__(self, dist_field, spec):

@@ -356,10 +356,12 @@ def bench_throughput(grid, spec, backends=BACKENDS, steps=2000, warmup=1000):
     start = grid.cell_center(int(ixs[len(ixs) // 2]), int(iys[len(iys) // 2]))
     rng = np.random.default_rng(0)
     total = warmup + steps
+    # Python floats: rows of the array itself would be numpy scalars, whose
+    # arithmetic would slow every pose and velocity the backends compute
     cmds = [VelocityCommand(vx, vy, w) for vx, vy, w in np.column_stack([
         rng.uniform(-spec.lin_limit, spec.lin_limit, total),
         rng.uniform(-spec.lin_limit, spec.lin_limit, total),
-        rng.uniform(-spec.ang_limit, spec.ang_limit, total)])]
+        rng.uniform(-spec.ang_limit, spec.ang_limit, total)]).tolist()]
     states = {backend: (Pose(start[0], start[1], 0.0), VelocityCommand(0.0, 0.0, 0.0))
               for backend in backends}
     rates = {backend: [] for backend in backends}

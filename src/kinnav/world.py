@@ -226,18 +226,23 @@ class _CollisionChecker:
     radius - nearest(), and near() is the proximity test
     clearance - radius < margin.
 
+    A point with a NaN coordinate counts as outside the grid: nearest()
+    answers it 0.0, so blocked(), certificate(), near() and penetration()
+    treat it as a point beyond the edge.
+
     nearest() keeps a one-entry memo: the last point it scanned and the
     distance it returned. A query with the same x and y (==) gets that
-    distance without a scan, so blocked(), certificate(), near() and
-    penetration() share it. A kinematic step tests the pose the previous step
-    ended on, and NavEnv.step's near() measures the pose the step just
-    tested, so most queries of a kinematic run repeat the one before. The
-    memo cannot go stale: the grid's cells are read-only bytes and the
-    checker's radius and lists never change, so the answer depends on x and
-    y alone. Only points strictly inside the grid are scanned and
-    remembered; a point on or beyond the edge, -0.0 included, is answered
-    0.0 before any scan, and a NaN never equals the memo, so it always takes
-    the full path. The memo is one tuple, stored in one step, so a checker
+    distance without a scan, so blocked(), near() and penetration() share
+    it. A kinematic step tests the pose the previous step ended on, and
+    NavEnv.step's near() measures the pose the step just tested, so most
+    queries of a kinematic run repeat the one before; a dynamic-lite step
+    that holds its pose leaves the memo on the pose near() measured last, so
+    that step's near() costs no scan either. The memo cannot go stale: the
+    grid's cells are read-only bytes and the checker's radius and lists
+    never change, so the answer depends on x and y alone. Only points
+    strictly inside the grid are scanned and remembered; a point on or
+    beyond the edge, -0.0 included, or with a NaN coordinate is answered 0.0
+    before any scan. The memo is one tuple, stored in one step, so a checker
     shared between threads never pairs one point with another's distance.
 
     certificate() gives blocked()'s answer with a region on which the answer
@@ -251,11 +256,12 @@ class _CollisionChecker:
     list as nearest() does, with r as the starting bound. A rectangle closer
     than r refuses the box; the grid edge is farther (a point within r of it
     is handed to nearest() before the list is read), so the distance found
-    is nearest()'s answer, the point's disc comes from it, and it goes into
-    nearest()'s memo: a later penetration() of the point costs no second
-    scan. Otherwise the box starts as the point's cell pulled in from the
-    grid edge by r, and every rectangle whose r-neighbourhood may meet it
-    cuts it:
+    is nearest()'s answer and the point's disc comes from it. That distance
+    does not go into nearest()'s memo, which keeps its own last point: the
+    probes of a substep loop would otherwise push out the pose a control
+    step measures. Otherwise the box starts as the point's cell pulled in
+    from the grid edge by r, and every rectangle whose r-neighbourhood may
+    meet it cuts it:
 
     - if the point's gap to the rectangle along an axis exceeds r, the box
       side facing the rectangle moves to r from it along that axis (with
@@ -353,7 +359,8 @@ class _CollisionChecker:
         Equal to grid.clearance(x, y) wherever either is below radius + cap,
         and at least radius + cap elsewhere: it is a minimum over a subset of
         the rects, so it never understates the clearance, but above
-        radius + cap it may overstate it. Zero outside the grid.
+        radius + cap it may overstate it. Zero outside the grid and for a NaN
+        coordinate.
         """
         last = self._last
         if x == last[0] and y == last[1]:
@@ -367,7 +374,8 @@ class _CollisionChecker:
         d = self._y1 - y
         if d < best:
             best = d
-        if not best > 0.0:
+        # on or beyond the edge; a NaN x leaves best NaN, a NaN y needs its own test
+        if not best > 0.0 or y != y:
             return 0.0
         cs = self._cs
         ix = int(x / cs)
@@ -444,7 +452,6 @@ class _CollisionChecker:
             d = self._scan(rects, x, y, r)
             if d >= r:
                 return False, self._build_box(rects, ix, iy, x, y)
-            self._last = (x, y, d)
         else:
             d = self.nearest(x, y)
         if d <= self._blocked_to:
@@ -591,6 +598,16 @@ class DistanceField:
     over those centers. Another, descent_step, holds the on-lattice rule: a
     cell's next cell is its lowest strictly lower 8-neighbor, memoized per
     field; descent_path walks it and OracleAgent merges its first moves.
+
+    lower_envelope keeps a one-entry memo, like the collision checker's
+    nearest(): the last point it scanned and its (value, cell), as one
+    tuple. A query with the same x and y (==) gets that answer without a
+    scan. NavEnv.step's value_at and the oracle's next off-lattice target
+    measure the same pose, and a step that holds its pose measures it again,
+    so each pose costs one scan. The values are read-only, so the memo
+    cannot go stale. -0.0 and 0.0 give the same answer (the coordinates only
+    enter floor(x / cs) and differences with positive cell centers), and a
+    NaN never equals the memo.
     """
 
     def __init__(self, grid, goal, robot_radius, values):
@@ -603,14 +620,20 @@ class DistanceField:
         self.goal_cell = grid.world_to_cell(*self.goal)
         self._finite = None
         self._next = {}
+        # lower_envelope's memo (x, y, (value, cell)), empty until the first scan
+        self._last = (math.nan, math.nan, None)
 
     def lower_envelope(self, x, y):
         """(value + distance to center, cell) minimized over the finite cells
         of the 3x3 block around (x, y); (inf, None) when none is finite.
 
         Cells are scanned in increasing (ny, nx) order and only a strictly
-        lower sum replaces the best, so ties go to the lowest (ny, nx).
+        lower sum replaces the best, so ties go to the lowest (ny, nx). The
+        last point's answer is remembered (see the class docstring).
         """
+        last = self._last
+        if x == last[0] and y == last[1]:
+            return last[2]
         grid = self.grid
         cs = grid.cell_size
         w, h = grid.width, grid.height
@@ -636,7 +659,9 @@ class DistanceField:
                     if d < best:
                         best = d
                         cell = (nx, ny)
-        return best, cell
+        out = best, cell
+        self._last = (x, y, out)
+        return out
 
     def value_at(self, x, y):
         """Continuous geodesic distance at a world point.

@@ -494,6 +494,26 @@ def test_bench_measurement_stability(small_setup):
         pytest.fail(f"throughput unstable: {a:.0f} vs {b:.0f} steps/s")
 
 
+class RecordingBackend:
+    """Steps kinematically and records the type of every number it is handed."""
+
+    def __init__(self):
+        self.types = set()
+
+    def step(self, grid, pose, vel, cmd, spec):
+        self.types.update(type(v) for v in (*pose, *vel, *cmd))
+        return task.KINEMATIC.step(grid, pose, vel, cmd, spec)
+
+
+def test_bench_steps_python_floats(small_setup, monkeypatch):
+    # numpy scalars would time numpy-scalar arithmetic, not the backend's
+    root, grid, map_path, ds_path = small_setup
+    rec = RecordingBackend()
+    monkeypatch.setitem(harness.BACKENDS, "recording", rec)
+    bench_throughput(grid, SPOT, backends=("recording",), steps=50, warmup=10)
+    assert rec.types == {float}
+
+
 @pytest.mark.parametrize("steps", [1, 2])
 def test_bench_times_fewer_steps_than_chunks(small_setup, steps):
     root, grid, map_path, ds_path = small_setup

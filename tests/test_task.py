@@ -384,6 +384,56 @@ def test_kinematic_step_scans_one_cell_list():
     assert steps > 20
 
 
+def test_dynlite_oracle_measures_each_pose_once():
+    # NavEnv.step's value_at and the oracle's off-lattice target share one
+    # lower_envelope scan per pose, and a step that holds its pose scans
+    # neither the field nor, for its near(), a cell list
+    grid = random_maze(24, 24, 0.25, seed=1)
+    checker = grid.collision_checker(SPOT.footprint_radius)
+    checker._lists = lists = CountingLists(checker._lists)
+    nears = []
+
+    def counting_near(x, y, margin, near=checker.near):
+        before = lists.reads
+        out = near(x, y, margin)
+        nears.append((x, y, lists.reads - before))
+        return out
+
+    checker.near = counting_near
+    env = NavEnv(grid, SPOT, backend=DynamicLiteBackend(PROFILES["profile-B"]),
+                 sensor=SensorConfig(expose_pose=True))
+    held = 0
+    for ep in sample_episodes(grid, 6, seed=1, largest_spec=SPOT).episodes:
+        field = distance_field(grid, ep.goal, SPOT.footprint_radius)
+        scans = []
+
+        def counting_envelope(x, y, field=field, envelope=field.lower_envelope, scans=scans):
+            before = field._last
+            out = envelope(x, y)
+            if field._last is not before:
+                scans.append((x, y))
+            return out
+
+        field.lower_envelope = counting_envelope
+        agent = OracleAgent(field, SPOT)
+        obs = env.reset(ep, field)
+        poses = [(env.pose.x, env.pose.y)]
+        for _ in range(60):
+            action, _ = agent.act(obs)
+            obs, _, done, info = env.step(action)
+            pose = (env.pose.x, env.pose.y)
+            assert nears[-1][:2] == pose
+            if pose == poses[-1]:
+                assert nears[-1][2] == 0
+                held += info["blocked"]
+            else:
+                poses.append(pose)
+            if done:
+                break
+        assert scans == poses
+    assert held >= 40
+
+
 def test_trajectory_only_when_recorded():
     grid = open_grid()
     goal = (25.5, 20.5)

@@ -363,6 +363,38 @@ def test_symmetric_graph_matches_one_way_undirected_search(cell_size):
                 assert f.values.tobytes() == want.tobytes()
 
 
+def test_field_memo_answers_as_a_fresh_field():
+    grid = random_maze(17, 17, 0.25, seed=3)
+    free = np.argwhere(grid.passable_mask(0.2))
+    fields = [distance_field(grid, grid.cell_center(int(ix), int(iy)), 0.2)
+              for iy, ix in free[[0, -1]]]
+    _, _, x1, y1 = grid.extent
+    a, b = map(tuple, np.random.default_rng(6).uniform(0.0, x1, (2, 2)).tolist())
+    nan, inf = math.nan, math.inf
+    # repeated, alternating, signed-zero, edge, off-grid and non-finite points
+    queries = [a, a, b, a, b, b, (0.0, 1.0), (-0.0, 1.0), (0.0, 1.0), (1.0, -0.0), (1.0, 0.0),
+               (x1, 1.0), (1.0, y1), (x1, y1), (x1, y1), (-0.5, 1.0), (x1 + 0.5, 1.0),
+               (1.0, -3.0), a, (nan, 1.0), (nan, 1.0), a, (1.0, nan), (a[0], nan), a,
+               (inf, 1.0), (1.0, -inf), b]
+
+    def fresh(f):
+        return DistanceField(grid, f.goal, f.robot_radius, f.values)
+
+    def outcome(call, f, x, y):
+        try:
+            return repr(call(f, x, y))  # repr tells -0.0 from 0.0
+        except (ValueError, OverflowError) as exc:
+            return type(exc)
+
+    calls = [lambda f, x, y: f.lower_envelope(x, y), lambda f, x, y: f.value_at(x, y)]
+    # two fields queried in turn: each keeps its own memo
+    for k, (x, y) in enumerate(queries):
+        for f in fields:
+            for call in calls:
+                assert outcome(call, f, x, y) == outcome(call, fresh(f), x, y), (k, x, y)
+    assert fields[0].value_at(*a) != fields[1].value_at(*a)
+
+
 def test_fields_share_their_values_buffer():
     # 50 live fields cost their values arrays and little else: a per-field
     # copy of the values (a list of rows, a contiguous duplicate) fails this
@@ -651,6 +683,35 @@ def test_memo_answers_as_a_fresh_checker():
     assert checkers[0].blocked(*b) != checkers[1].blocked(*b)
 
 
+def test_nan_coordinates_count_as_outside_the_grid():
+    grid = random_maze(17, 17, 0.25, seed=3)
+    calls = [lambda ch, x, y: ch.nearest(x, y), lambda ch, x, y: ch.blocked(x, y),
+             lambda ch, x, y: ch.penetration(x, y), lambda ch, x, y: ch.certificate(x, y),
+             lambda ch, x, y: ch.near(x, y, PROXIMITY_MARGIN)]
+    for radius in (0.2, 0.3):
+        checker = grid.collision_checker(radius)
+        for x, y in ((math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan)):
+            # answered as a point beyond the grid edge is
+            for call in calls:
+                assert repr(call(checker, x, y)) == repr(call(checker, -1.0, 1.0)), (x, y)
+        assert checker.nearest(1.0, math.nan) == 0.0 and checker.blocked(1.0, math.nan)
+
+
+def test_penetration_after_a_blocked_certificate_is_a_fresh_answer():
+    grid = random_maze(17, 17, 0.25, seed=3)
+    _, _, x1, y1 = grid.extent
+    pts = np.random.default_rng(7).uniform(0.0, x1, (400, 2)).tolist()
+    blocked = 0
+    for radius in (0.2, 0.3):
+        checker = grid.collision_checker(radius)
+        for x, y in pts:
+            hit, _ = checker.certificate(x, y)
+            fresh = OccupancyGrid(grid.cells, grid.cell_size).collision_checker(radius)
+            assert checker.penetration(x, y) == fresh.penetration(x, y), (radius, x, y)
+            blocked += hit
+    assert blocked >= 100
+
+
 def box_points(grid, rng, r, n):
     """grid_points plus points about r from each grid edge and corner, on both sides."""
     _, _, x1, y1 = grid.extent
@@ -693,6 +754,7 @@ def test_free_box_is_free_and_refused_only_near_contact(scale):
         checker = grid.collision_checker(radius)
         checker._lists = lists = CountingLists(checker._lists)
         r = radius + CERT_EPS
+        _, _, gx1, gy1 = grid.extent
         pts = box_points(grid, rng, r, 1000)
         # points within ulps of nearest() == r, where the box is thinnest
         near = [p for p in pts if checker.nearest(*p) < r]
@@ -703,16 +765,17 @@ def test_free_box_is_free_and_refused_only_near_contact(scale):
             # forget the last box: every box below is built for its own point
             checker._box = (math.nan,) * 4
             before = lists.reads
+            memo = checker._last
             hit, box = checker.certificate(x, y)
             assert lists.reads - before <= 1, (k, x, y)
-            # a blocked point's distance is left in nearest()'s memo
+            # a distance certificate() measures itself stays out of nearest()'s
+            # memo; only a point within r of the grid edge is left to nearest()
+            assert checker._last is memo or not (r < x < gx1 - r and r < y < gy1 - r), (k, x, y)
             assert hit == checker.blocked(x, y), (k, x, y)
-            assert not hit or lists.reads - before <= 1, (k, x, y)
             if hit or not (box[0] < x < box[2] and box[1] < y < box[3]):
                 refused += 1
                 # a free point that fits in no box gets the last, here empty, box
                 assert hit or all(map(math.isnan, box)), (k, x, y, box)
-                # nearest() answers from the memo a refusing rect left
                 d = checker.nearest(x, y)
                 if d < r:
                     assert d == grid.clearance(x, y), (k, x, y)
@@ -765,16 +828,10 @@ def test_free_box_memo_serves_only_points_inside():
                 checker._box = box
                 hit, out = checker.certificate(qx, qy)
                 assert hit or out is box or out[0] < qx < out[2] and out[1] < qy < out[3]
-            # nor are NaN coordinates: they get blocked()'s answer, or its ValueError
+            # nor are NaN coordinates: they count as outside the grid, so blocked
             for qx, qy in ((nan, y), (x, nan)):
                 checker._box = box
-                try:
-                    hit = checker.blocked(qx, qy)
-                except ValueError:
-                    with pytest.raises(ValueError):
-                        checker.certificate(qx, qy)
-                else:
-                    assert checker.certificate(qx, qy)[0] == hit
+                assert checker.certificate(qx, qy)[0] and checker.blocked(qx, qy)
     assert served >= 100
     # clearance between the radii: a box for the small radius, none for the large
     free = [(x, y) for x, y in pts if 0.2 + 1e-3 < grid.clearance(x, y) < 0.3 - 1e-3]
