@@ -126,7 +126,8 @@ class RandomAgent:
         return None
 
     def act(self, obs, memory=None):
-        vx, vy = self.rng.uniform(-self.spec.lin_limit, self.spec.lin_limit, size=2)
+        # Python floats: numpy scalars would slow every pose the backends compute
+        vx, vy = self.rng.uniform(-self.spec.lin_limit, self.spec.lin_limit, size=2).tolist()
         w = self.rng.uniform(-self.spec.ang_limit, self.spec.ang_limit)
         return AgentAction(VelocityCommand(vx, vy, w)), memory
 

@@ -43,11 +43,12 @@ def validate_episode(grid, start, goal, largest_spec, ratio_min=DEFAULT_RATIO_MI
     geodesic distance in [1, 30] m, geodesic/euclidean ratio at least
     ratio_min (rejects near-straight paths), and a start that the footprint
     can occupy as write_dataset stores it, rounded to 6 significant digits
-    (`start_blocked` when its clearance is below the footprint radius, so an
-    accepted start loads into NavEnv). dist_field is the goal's field over
-    the grid inflated by the largest robot's footprint, so a finite start
-    value already means a descent path on which that footprint stays clear;
-    a field for another radius or another goal is a ValueError.
+    (`start_blocked` when the footprint radius's collision checker calls it
+    blocked, the test NavEnv.reset applies, so an accepted start loads into
+    NavEnv). dist_field is the goal's field over the grid inflated by the
+    largest robot's footprint, so a finite start value already means a
+    descent path on which that footprint stays clear; a field for another
+    radius or another goal is a ValueError.
     """
     radius = largest_spec.footprint_radius
     if dist_field.robot_radius != float(radius):
@@ -72,7 +73,7 @@ def validate_episode(grid, start, goal, largest_spec, ratio_min=DEFAULT_RATIO_MI
     d_euclid = math.hypot(gx - sx, gy - sy)
     if d_euclid <= 0 or d_geo / d_euclid < ratio_min:
         return False, "near_straight"
-    if grid.clearance(_round6(sx), _round6(sy)) < radius:
+    if grid.collision_checker(radius).blocked(_round6(sx), _round6(sy)):
         return False, "start_blocked"
     return True, ""
 

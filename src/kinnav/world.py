@@ -68,8 +68,8 @@ class OccupancyGrid:
             reach[:, 1:] |= grown[:, :-1]
             reach[:, :-1] |= grown[:, 1:]
         self._first_ring = ring.tolist()
-        self._center_clearance = None
         self._checkers = {}
+        self._masks = {}
         self._adjacency = {}
 
     def __reduce__(self):
@@ -151,19 +151,35 @@ class OccupancyGrid:
         return self._clearance_at(x, y, *self.world_to_cell(x, y))
 
     def center_clearance(self):
-        """Exact clearance at every cell center, shape (height, width); 0 on occupied cells."""
-        if self._center_clearance is None:
-            iys, ixs = np.nonzero(~self.cells)
-            out = np.zeros((self.height, self.width))
-            out[iys, ixs] = [self._clearance_at(*self.cell_center(ix, iy), ix, iy)
-                             for ix, iy in zip(ixs.tolist(), iys.tolist())]
-            out.setflags(write=False)
-            self._center_clearance = out
-        return self._center_clearance
+        """Exact clearance at every cell center, shape (height, width); 0 on occupied cells.
+
+        A standalone query: one ring scan per free cell on every call, with
+        no cache.
+        """
+        iys, ixs = np.nonzero(~self.cells)
+        out = np.zeros((self.height, self.width))
+        out[iys, ixs] = [self._clearance_at(*self.cell_center(ix, iy), ix, iy)
+                         for ix, iy in zip(ixs.tolist(), iys.tolist())]
+        out.setflags(write=False)
+        return out
 
     def passable_mask(self, robot_radius):
-        """Cells that are free and whose center keeps at least robot_radius clearance."""
-        return (~self.cells) & (self.center_clearance() >= robot_radius)
+        """Cells that are free and whose center keeps at least robot_radius clearance.
+
+        Read off the radius's collision checker: a free cell passes when its
+        center is not blocked(), which holds exactly when its clearance is at
+        least the radius. Cached per radius as a read-only array.
+        """
+        key = float(robot_radius)
+        if key not in self._masks:
+            blocked = self.collision_checker(key).blocked
+            iys, ixs = np.nonzero(~self.cells)
+            mask = np.zeros((self.height, self.width), dtype=bool)
+            mask[iys, ixs] = [not blocked(*self.cell_center(ix, iy))
+                              for ix, iy in zip(ixs.tolist(), iys.tolist())]
+            mask.setflags(write=False)
+            self._masks[key] = mask
+        return self._masks[key]
 
     def collision_checker(self, robot_radius):
         key = float(robot_radius)

@@ -222,6 +222,18 @@ def test_random_agent_within_limits_and_deterministic():
     assert [(c.vx, c.vy, c.w) for c in replay] == draws[:50]
 
 
+def test_random_agent_commands_python_floats():
+    """Every command component is a Python float, equal to the numpy draws of the seed."""
+    agent = RandomAgent(SPOT, np.random.default_rng(7))
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        cmd = agent.act(None, None)[0].cmd
+        assert all(type(v) is float for v in (cmd.vx, cmd.vy, cmd.w)), cmd
+        vx, vy = rng.uniform(-SPOT.lin_limit, SPOT.lin_limit, size=2)
+        w = rng.uniform(-SPOT.ang_limit, SPOT.ang_limit)
+        assert (cmd.vx, cmd.vy, cmd.w) == (vx, vy, w)
+
+
 def test_constant_agent_under_env():
     grid = open_grid(80)
     goal = grid.cell_center(60, 40)

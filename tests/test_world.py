@@ -10,7 +10,7 @@ import pytest
 
 import kinnav
 from kinnav.maps import random_maze, random_obstacles
-from kinnav.robots import A1, ALIENGO, SPOT
+from kinnav.robots import A1, ALIENGO, ROBOTS, SPOT
 from kinnav.task import PROXIMITY_MARGIN
 from kinnav.world import (CERT_EPS, DistanceField, InvalidGoalError, MapError,
                           OccupancyGrid, OutOfBoundsError, distance_field, load_world,
@@ -532,10 +532,18 @@ def test_blocked_is_clearance_below_radius():
 
 
 def test_passable_mask_is_free_and_not_blocked_at_center():
+    """The mask is the clearance table's, bit for bit, cached per radius and read-only."""
+    radii = sorted({0.2, 0.25, 0.3} | {spec.footprint_radius for spec in ROBOTS.values()})
     for k, grid in enumerate(geometry_grids()):
-        for radius in (0.2, 0.25, 0.3):
+        table = grid.center_clearance()
+        copy = pickle.loads(pickle.dumps(grid))
+        for radius in radii:
             checker = grid.collision_checker(radius)
             mask = grid.passable_mask(radius)
+            assert np.array_equal(mask, (~grid.cells) & (table >= radius)), (k, radius)
+            assert not mask.flags.writeable
+            assert grid.passable_mask(radius) is mask
+            assert np.array_equal(copy.passable_mask(radius), mask), (k, radius)
             for iy, ix in np.argwhere(~grid.cells).tolist():
                 assert mask[iy, ix] == (not checker.blocked(*grid.cell_center(ix, iy))), \
                     (k, radius, ix, iy)
