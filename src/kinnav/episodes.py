@@ -91,7 +91,9 @@ def sample_episodes(grid, n, seed, largest_spec, ratio_min=DEFAULT_RATIO_MIN,
     max_attempts = max(1000 * n, 1)
     radius = largest_spec.footprint_radius
     passable = grid.passable_mask(radius)
-    iys, ixs = np.nonzero(passable)
+    # Python ints, so that starts and goals are Python floats: numpy scalars
+    # would slow every pose a rollout of the dataset computes
+    iys, ixs = (a.tolist() for a in np.nonzero(passable))
     if len(ixs) < 2:
         raise GenerationError("map has fewer than 2 free non-inflated cells")
     rng = np.random.default_rng(seed)
@@ -115,7 +117,7 @@ def sample_episodes(grid, n, seed, largest_spec, ratio_min=DEFAULT_RATIO_MIN,
             continue
         start = Pose(*grid.cell_center(ixs[si], iys[si]), heading)
         goal = grid.cell_center(ixs[gi], iys[gi])
-        gcell = (int(ixs[gi]), int(iys[gi]))
+        gcell = (ixs[gi], iys[gi])
         if gcell != field_cell:
             field_cell = gcell
             field = distance_field(grid, goal, radius)

@@ -6,7 +6,6 @@ import io
 import os
 import statistics
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -100,6 +99,16 @@ def _load_context(map_data, dataset_data, noise_data, robot):
 def _read(path):
     with open(path, "rb") as f:
         return f.read()
+
+
+def ProcessPoolExecutor(max_workers):
+    """concurrent.futures.ProcessPoolExecutor, imported on first use.
+
+    Only a run with several workers needs the process pool, so importing
+    kinnav leaves its modules, and the memory they take, out.
+    """
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(max_workers=max_workers)
 
 
 def _run_pairs(config, contents, pairs, traj_dir=None):

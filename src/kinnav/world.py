@@ -71,6 +71,7 @@ class OccupancyGrid:
         self._checkers = {}
         self._masks = {}
         self._adjacency = {}
+        self._blocks = {}
 
     def __reduce__(self):
         # rebuilt from its cells, so a copy's arrays refuse writes and its tables match
@@ -180,6 +181,28 @@ class OccupancyGrid:
             mask.setflags(write=False)
             self._masks[key] = mask
         return self._masks[key]
+
+    def passable_blocks(self, robot_radius):
+        """Per cell, the passable cells of its 3x3 block, cached per radius.
+
+        A flat list laid out like the grid's padded byte table: the block
+        around cell (ix, iy), for ix in [-1, width] and iy in [-1, height],
+        is entry (iy + 1) * (width + 2) + ix + 1. A block is a tuple of the
+        passable cells of passable_mask(robot_radius) in it, in increasing
+        (iy, ix) order. Each passable cell is one entry shared by the nine
+        blocks that hold it: (flat index iy * width + ix, center x, center y,
+        (ix, iy)), its center from cell_center's expression.
+        """
+        key = float(robot_radius)
+        if key not in self._blocks:
+            ok = self.passable_mask(key)
+            iys, ixs = np.nonzero(ok)
+            cs = self.cell_size
+            entries = list(zip((iys * self.width + ixs).tolist(), ((ixs + 0.5) * cs).tolist(),
+                               ((iys + 0.5) * cs).tolist(), zip(ixs.tolist(), iys.tolist())))
+            offs = [(dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1)]
+            self._blocks[key] = _stencil_lists(ok, entries, offs, ring=1)
+        return self._blocks[key]
 
     def collision_checker(self, robot_radius):
         key = float(robot_radius)
@@ -336,34 +359,13 @@ class _CollisionChecker:
 
         Rect and cell centers share one lattice, so a fixed stencil of cell
         offsets, those at most reach away, picks every cell's rects. Lists hold
-        rects in index order. Built one grid row at a time.
+        rects in index order.
         """
-        grid = self.grid
-        w, h = self._w, self._h
-        out = [()] * (w * h)
-        if not self._rects:
-            return out
         cs = self._cs
         n = int(reach / cs)
-        # offsets in row-major order, so each cell's rect indices come out ascending
         offs = [(dy, dx) for dy in range(-n, n + 1) for dx in range(-n, n + 1)
                 if (dx * dx + dy * dy) * cs * cs <= reach * reach]
-        # rect index per cell, -1 where free, with n free cells of padding all round
-        pw = w + 2 * n
-        ids = np.where(grid.cells, np.cumsum(grid.cells).reshape(h, w) - 1, -1)
-        ids = np.pad(ids, n, constant_values=-1).ravel()
-        stencil = np.arange(w)[:, None] + np.array([(n + dy) * pw + n + dx for dy, dx in offs])
-        rects = self._rects
-        for iy in range(h):
-            hits = ids[iy * pw + stencil]
-            found = hits >= 0
-            counts = found.sum(axis=1).tolist()
-            idx = hits[found].tolist()
-            row = iy * w
-            for ix, (c, end) in enumerate(zip(counts, itertools.accumulate(counts))):
-                if c:
-                    out[row + ix] = tuple([rects[i] for i in idx[end - c:end]])
-        return out
+        return _stencil_lists(self.grid.cells, self._rects, offs)
 
     def blocked(self, x, y):
         """True when a disc of the checker's radius at (x, y) overlaps occupied space."""
@@ -539,6 +541,40 @@ class _CollisionChecker:
         return self._box
 
 
+def _stencil_lists(members, items, offs, ring=0):
+    """Per cell, the items of the member cells at the cell offsets offs from it.
+
+    members is a (h, w) bool array and items holds one entry per member cell,
+    in row-major order. offs lists (dy, dx) offsets in row-major order, so each
+    cell's items come out in row-major order of their cells. Returns a flat
+    row-major list over the grid grown by ring cells all round, so cell
+    (ix, iy) is entry (iy + ring) * (w + 2 * ring) + ix + ring; a cell with
+    no member at any offset gets (). Built one row at a time.
+    """
+    h, w = members.shape
+    ow = w + 2 * ring
+    out = [()] * (ow * (h + 2 * ring))
+    if not items:
+        return out
+    # member index per cell, -1 elsewhere, padded so that every offset of every
+    # output cell lands inside
+    pad = ring + max(max(abs(dy), abs(dx)) for dy, dx in offs)
+    pw = w + 2 * pad
+    ids = np.where(members, np.cumsum(members).reshape(h, w) - 1, -1)
+    ids = np.pad(ids, pad, constant_values=-1).ravel()
+    stencil = np.arange(pad - ring, pad - ring + ow)[:, None] + np.array([dy * pw + dx for dy, dx in offs])
+    for oy in range(h + 2 * ring):
+        hits = ids[(oy + pad - ring) * pw + stencil]
+        found = hits >= 0
+        counts = found.sum(axis=1).tolist()
+        idx = hits[found].tolist()
+        row = oy * ow
+        for ox, (c, end) in enumerate(zip(counts, itertools.accumulate(counts))):
+            if c:
+                out[row + ox] = tuple([items[i] for i in idx[end - c:end]])
+    return out
+
+
 # -- map document I/O -----------------------------------------------------
 
 
@@ -603,7 +639,9 @@ class DistanceField:
     """Per-cell geodesic distance to a goal point over the radius-inflated grid.
 
     Built by 8-connected Dijkstra; straight moves cost cell_size, diagonals
-    sqrt(2)*cell_size. Unreachable and inflated cells hold +inf.
+    sqrt(2)*cell_size. Unreachable and inflated cells hold +inf: a cell that
+    passable_mask excludes has no move in the graph, so only the goal's
+    component of passable cells is finite.
 
     flat_values is a read-only row-major memoryview of values, so
     flat_values[iy * width + ix] reads values[iy, ix] as a Python float
@@ -614,6 +652,13 @@ class DistanceField:
     over those centers. Another, descent_step, holds the on-lattice rule: a
     cell's next cell is its lowest strictly lower 8-neighbor, memoized per
     field; descent_path walks it and OracleAgent merges its first moves.
+
+    Both scans read only the passable cells of the 3x3 block, from the
+    grid's passable_blocks table for the field's radius, which every field
+    of that grid and radius shares. Every other cell holds +inf, so it can
+    neither lower a sum nor a value: skipping it leaves the minimum, its
+    (ny, nx) tie order and its floats as a scan of all nine cells gives
+    them. A field built from other values must keep that invariant.
 
     lower_envelope keeps a one-entry memo, like the collision checker's
     nearest(): the last point it scanned and its (value, cell), as one
@@ -634,6 +679,7 @@ class DistanceField:
         self.values = values
         self.flat_values = memoryview(values.reshape(-1))
         self.goal_cell = grid.world_to_cell(*self.goal)
+        self._blocks = grid.passable_blocks(self.robot_radius)
         self._finite = None
         self._next = {}
         # lower_envelope's memo (x, y, (value, cell)), empty until the first scan
@@ -652,29 +698,22 @@ class DistanceField:
             return last[2]
         grid = self.grid
         cs = grid.cell_size
-        w, h = grid.width, grid.height
-        # the expressions of grid.world_to_cell and grid.cell_center, inline;
-        # math.floor already returns an int
+        # the expression of grid.world_to_cell, inline; math.floor already
+        # returns an int, and raises on a NaN or infinite coordinate
         ix = math.floor(x / cs)
         iy = math.floor(y / cs)
-        vals = self.flat_values
-        hypot = math.hypot
-        inf = best = math.inf
+        best = math.inf
         cell = None
-        for ny in (iy - 1, iy, iy + 1):
-            if ny < 0 or ny >= h:
-                continue
-            dy = y - (ny + 0.5) * cs
-            row = ny * w
-            for nx in (ix - 1, ix, ix + 1):
-                if nx < 0 or nx >= w:
-                    continue
-                v = vals[row + nx]
-                if v < inf:
-                    d = v + hypot(x - (nx + 0.5) * cs, dy)
-                    if d < best:
-                        best = d
-                        cell = (nx, ny)
+        # a point more than one cell outside the grid has no block
+        if -1 <= ix <= grid.width and -1 <= iy <= grid.height:
+            vals = self.flat_values
+            hypot = math.hypot
+            # an unreachable cell's sum is +inf, which never replaces the best
+            for i, cx, cy, c in self._blocks[(iy + 1) * (grid.width + 2) + ix + 1]:
+                d = vals[i] + hypot(x - cx, y - cy)
+                if d < best:
+                    best = d
+                    cell = c
         out = best, cell
         self._last = (x, y, out)
         return out
@@ -722,20 +761,15 @@ class DistanceField:
             nxt = None
             if cell != self.goal_cell:
                 ix, iy = cell
-                w, h = self.grid.width, self.grid.height
+                w = self.grid.width
                 vals = self.flat_values
                 best_v = vals[iy * w + ix]
-                for ny in (iy - 1, iy, iy + 1):
-                    if ny < 0 or ny >= h:
-                        continue
-                    row = ny * w
-                    for nx in (ix - 1, ix, ix + 1):
-                        if 0 <= nx < w:
-                            # the cell itself is never strictly below best_v
-                            v = vals[row + nx]
-                            if v < best_v:
-                                best_v = v
-                                nxt = (nx, ny)
+                # the cell itself is never strictly below best_v
+                for i, _, _, c in self._blocks[(iy + 1) * (w + 2) + ix + 1]:
+                    v = vals[i]
+                    if v < best_v:
+                        best_v = v
+                        nxt = c
             self._next[cell] = nxt
         return nxt
 

@@ -11,7 +11,9 @@ corners and the grid edge, for Spot, AlienGo and A1 at 24, 60 and 240
 substeps, with reversed velocities and turns at the angular limit), and
 cell_lists_reference builds a collision checker's per-cell lists.
 descent_neighbor_reference is the neighbor scan that DistanceField ran
-before it was folded into descent_step; descent_step_reference,
+before it was folded into descent_step, and lower_envelope_reference the
+nine-cell scan that lower_envelope ran before it read the grid's
+passable_blocks table; descent_step_reference,
 descent_path_reference and oracle_target_reference walk it, so they share no
 read with the package. The numpy-indexing versions of the distance-field
 reads (value_at_reference, descent_neighbor_reference,
@@ -431,6 +433,47 @@ def value_at_reference(field, x, y):
     if best < math.inf:
         return best
     return field._fallback_value(x, y)
+
+
+def passable_blocks_oracle(grid, robot_radius):
+    """OccupancyGrid.passable_blocks by brute force: every block's nine cells, one at a time."""
+    ok = grid.passable_mask(robot_radius)
+    w, h, cs = grid.width, grid.height, grid.cell_size
+    out = []
+    for iy in range(-1, h + 1):
+        for ix in range(-1, w + 1):
+            out.append(tuple((ny * w + nx, (nx + 0.5) * cs, (ny + 0.5) * cs, (nx, ny))
+                             for ny in (iy - 1, iy, iy + 1) for nx in (ix - 1, ix, ix + 1)
+                             if 0 <= nx < w and 0 <= ny < h and ok[ny, nx]))
+    return out
+
+
+def lower_envelope_reference(field, x, y):
+    """DistanceField.lower_envelope as it was: all nine cells of the block, each
+    with a bounds test, and no memo."""
+    grid = field.grid
+    cs = grid.cell_size
+    w, h = grid.width, grid.height
+    ix = math.floor(x / cs)
+    iy = math.floor(y / cs)
+    vals = field.flat_values
+    inf = best = math.inf
+    cell = None
+    for ny in (iy - 1, iy, iy + 1):
+        if ny < 0 or ny >= h:
+            continue
+        dy = y - (ny + 0.5) * cs
+        row = ny * w
+        for nx in (ix - 1, ix, ix + 1):
+            if nx < 0 or nx >= w:
+                continue
+            v = vals[row + nx]
+            if v < inf:
+                d = v + math.hypot(x - (nx + 0.5) * cs, dy)
+                if d < best:
+                    best = d
+                    cell = (nx, ny)
+    return best, cell
 
 
 def descent_neighbor_reference(field, ix, iy):

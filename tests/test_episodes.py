@@ -133,6 +133,15 @@ def test_sample_revalidates():
         assert ep.geodesic_distance == pytest.approx(f.values[siy, six], abs=1e-9)
 
 
+def test_sampled_episodes_hold_python_floats():
+    # numpy scalars would slow every pose a rollout of an in-memory dataset computes
+    grid = random_maze(48, 48, 0.25, seed=7)
+    ds = sample_episodes(grid, 10, seed=4, largest_spec=SPOT)
+    for ep in ds.episodes:
+        for v in (*ep.start, *ep.goal, ep.geodesic_distance):
+            assert type(v) is float, ep
+
+
 def test_sample_attempt_budget():
     grid = load_world(open_doc(12))  # open room: everything is near-straight
     with pytest.raises(GenerationError, match="acceptance rate"):

@@ -6,6 +6,8 @@ import os
 import pickle
 import re
 import shutil
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -679,3 +681,13 @@ def test_plot_rejects_off_map_points(small_setup):
     root, grid, map_path, ds_path = small_setup
     with pytest.raises(PlotError):
         emit_plot(grid, [(traj_records([(-5.0, 2.0)]), True)])
+
+
+def test_import_leaves_the_process_pool_out():
+    # a fresh interpreter that finds kinnav where this one did; only a run
+    # with several workers imports the process pool
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    code = f"import sys; sys.path.insert(0, {src!r}); import kinnav, kinnav.cli; " \
+           "print('concurrent.futures.process' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

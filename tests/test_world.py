@@ -19,7 +19,8 @@ from kinnav.world import (CERT_EPS, DistanceField, InvalidGoalError, MapError,
 from oracles import (CountingLists, KDFieldReference, KDGridReference, blocked_oracle,
                      cell_lists_reference, clearance_oracle, descent_path_reference,
                      descent_step_reference, dijkstra_oracle,
-                     distance_values_reference, neighbor_graph_reference, raycast_reference,
+                     distance_values_reference, lower_envelope_reference,
+                     neighbor_graph_reference, passable_blocks_oracle, raycast_reference,
                      raymarch_oracle, save_world_reference, value_at_reference)
 
 SQRT2 = math.sqrt(2.0)
@@ -411,6 +412,91 @@ def test_fields_share_their_values_buffer():
         tracemalloc.stop()
     assert len(fields) == 50
     assert grown <= 1.1 * sum(f.values.nbytes for f in fields)
+
+
+# -- passable blocks -------------------------------------------------------
+
+
+def two_region_grid():
+    """Two free regions split by a wall: a field in one leaves the other's passable cells +inf."""
+    cells = np.zeros((14, 23), dtype=bool)
+    cells[:, 11] = True
+    cells[4, 3:7] = True
+    return OccupancyGrid(cells, 0.25)
+
+
+def table_fields():
+    """The fields of reference_fields(), one per geometry grid, and one per region of
+    two_region_grid()."""
+    fields = [f for _, f in reference_fields()]
+    for grid in geometry_grids():
+        free = np.argwhere(grid.passable_mask(0.2))
+        if len(free):
+            iy, ix = free[len(free) // 2].tolist()
+            fields.append(distance_field(grid, grid.cell_center(ix, iy), 0.2))
+    grid = two_region_grid()
+    fields += [distance_field(grid, grid.cell_center(ix, 8), 0.2) for ix in (3, 17)]
+    return fields
+
+
+def test_passable_blocks_match_brute_force():
+    cases = [(grid, radius) for grid in geometry_grids() for radius in (0.2, 0.25, 0.3)]
+    cases += list({id(f.grid): (f.grid, f.robot_radius) for _, f in reference_fields()}.values())
+    cases.append((two_region_grid(), 0.2))
+    for k, (grid, radius) in enumerate(cases):
+        blocks = grid.passable_blocks(radius)
+        assert blocks == passable_blocks_oracle(grid, radius), (k, radius)
+        assert grid.passable_blocks(radius) is blocks
+        # one entry of Python numbers per passable cell, shared by every block that holds it
+        entries = {id(e): e for block in blocks for e in block}.values()
+        assert len(entries) == int(grid.passable_mask(radius).sum()), (k, radius)
+        assert all(type(i) is int and type(cx) is float and type(cy) is float
+                   for i, cx, cy, _ in entries)
+        assert pickle.loads(pickle.dumps(grid)).passable_blocks(radius) == blocks, (k, radius)
+
+
+def test_fields_hold_inf_off_the_passable_cells():
+    unreachable = 0
+    for f in table_fields():
+        ok = f.grid.passable_mask(f.robot_radius)
+        assert (f.values[~ok] == math.inf).all()
+        unreachable += int((f.values[ok] == math.inf).sum())
+    # the other region of two_region_grid() at least
+    assert unreachable > 50
+
+
+def test_table_scans_match_nine_cell_scans():
+    # on, around and far outside the grid, on every cell center and on the
+    # centers of the two rings of cells just outside it
+    rng = np.random.default_rng(9)
+    unreachable = fallbacks = 0
+    for k, f in enumerate(table_fields()):
+        grid = f.grid
+        assert f._blocks is grid.passable_blocks(f.robot_radius)
+        w, h = grid.width, grid.height
+        centers = [grid.cell_center(ix, iy) for iy in range(-2, h + 2) for ix in range(-2, w + 2)]
+        for x, y in probe_points(grid, rng) + centers:
+            assert f.lower_envelope(x, y) == lower_envelope_reference(f, x, y), (k, x, y)
+            got, want = f.value_at(x, y), value_at_reference(f, x, y)
+            assert got == want and type(got) is float, (k, x, y)
+            fallbacks += lower_envelope_reference(f, x, y)[1] is None
+        for iy in range(h):
+            for ix in range(w):
+                assert f.descent_step((ix, iy)) == descent_step_reference(f, (ix, iy)), (k, ix, iy)
+        unreachable += int((f.values[grid.passable_mask(f.robot_radius)] == math.inf).sum())
+    assert unreachable > 50 and fallbacks > 1000
+
+
+def test_fields_of_one_grid_and_radius_share_one_table():
+    grid = random_maze(33, 33, 0.25, seed=8)
+    ok = np.argwhere(grid.passable_mask(SPOT.footprint_radius))
+    fields = [distance_field(grid, grid.cell_center(ix, iy), SPOT.footprint_radius)
+              for iy, ix in ok[::len(ok) // 5].tolist()]
+    fields.append(DistanceField(grid, fields[0].goal, SPOT.footprint_radius, fields[0].values))
+    assert all(f._blocks is grid.passable_blocks(SPOT.footprint_radius) for f in fields)
+    other = distance_field(grid, fields[0].goal, 0.2)
+    assert other._blocks is grid.passable_blocks(0.2)
+    assert other._blocks is not fields[0]._blocks
 
 
 # -- clearance -------------------------------------------------------------
